@@ -2,10 +2,9 @@
 detection from battery charging logs.
 
 The charge-voltage curve Q(V) is modeled as an exact Gaussian process with
-a rational-quadratic kernel (squared-exponential in its limit); dQ/dV
-follows in closed form from the joint value-derivative posterior with
-calibrated credible bands, and cycles are classified by the above-4.0 V
-differential-peak signature.
+a rational-quadratic kernel; dQ/dV follows in closed form from the joint
+value-derivative posterior with calibrated credible bands, and cycles are
+classified by the above-4.0 V differential-peak signature.
 """
 
 from .kernel import Hyperparams, k, k_cross, k_dd, kernel_matrix

@@ -12,14 +12,16 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import baseline, detect, metrics, synth
+from .derivative import DEFAULT_GRID_N
 from .errors import DqdvGpError, GridDoesNotReachThreshold
-from .ingest import CsvSpec, parse_log, write_log, write_qv_csv
-from .pipeline import analyze_curve, interior_mask, log_to_curves, paired_trial
+from .ingest import V_MAX_DEFAULT, V_MIN_DEFAULT, parse_log, write_log, write_qv_csv
+from .pipeline import analyze_curve, log_to_curves, paired_trial
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,25 +48,25 @@ def _write_json(path, payload):
 
 
 def _add_ingest_flags(p):
-    p.add_argument("--vmin", type=float, default=2.75)
-    p.add_argument("--vmax", type=float, default=4.2)
+    p.add_argument("--vmin", type=float, default=V_MIN_DEFAULT)
+    p.add_argument("--vmax", type=float, default=V_MAX_DEFAULT)
     p.add_argument("--max-points", type=int, default=500)
     p.add_argument("--cc-tol", type=float, default=0.02)
 
 
 def _add_analysis_flags(p):
-    p.add_argument("--grid-n", type=int, default=400)
+    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--threshold-v", type=float, default=4.0)
-    p.add_argument("--prominence", type=float, default=0.05,
+    p.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
+    p.add_argument("--prominence", type=float, default=detect.MIN_PROMINENCE_FRAC_DEFAULT,
                    help="minimum peak prominence as a fraction of the mean's range")
     p.add_argument("--significance", choices=["band-separated", "mean-only"],
                    default="band-separated")
 
 
 def _add_sg_flags(p):
-    p.add_argument("--sg-window", type=int, default=11)
-    p.add_argument("--sg-polyorder", type=int, default=2)
+    p.add_argument("--sg-window", type=int, default=baseline.SgConfig.window)
+    p.add_argument("--sg-polyorder", type=int, default=baseline.SgConfig.polyorder)
 
 
 def build_parser():
@@ -91,20 +93,20 @@ def build_parser():
     ps = sub.add_parser("synth", help="generate synthetic charging logs")
     ps.add_argument("--out", default="synth_out")
     ps.add_argument("--scenario", choices=["plating", "baseline"], default="plating")
-    ps.add_argument("--capacity", type=float, default=0.045)
-    ps.add_argument("--noise-std", type=float, default=5e-6)
-    ps.add_argument("--n-samples", type=int, default=300)
-    ps.add_argument("--n-cycles", type=int, default=1)
-    ps.add_argument("--fade-rate", type=float, default=0.0)
+    ps.add_argument("--capacity", type=float, default=synth.SynthSpec.capacity)
+    ps.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
+    ps.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
+    ps.add_argument("--n-cycles", type=int, default=synth.SynthSpec.n_cycles)
+    ps.add_argument("--fade-rate", type=float, default=synth.SynthSpec.fade_rate)
     ps.add_argument("--seed", type=int, default=_seed_default())
 
     pb = sub.add_parser("bench", help="paired GP-vs-SG benchmark on synthetic data")
     pb.add_argument("--out", default="bench_out")
     pb.add_argument("--scenario", choices=["plating", "baseline"], default="plating")
     pb.add_argument("--n-seeds", type=int, default=20)
-    pb.add_argument("--noise-std", type=float, default=5e-6)
-    pb.add_argument("--n-samples", type=int, default=300)
-    pb.add_argument("--grid-n", type=int, default=400)
+    pb.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
+    pb.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
+    pb.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     _add_sg_flags(pb)
     pb.add_argument("--seed", type=int, default=_seed_default())
     return parser
@@ -119,104 +121,116 @@ def _config_dict(args):
 
 
 def _make_spec(args):
+    """The scenario's spec with the noise, sample count and seed of ``args``;
+    everything else keeps its ``SynthSpec`` default."""
     factory = synth.plating_spec if args.scenario == "plating" else synth.baseline_spec
-    return factory(
-        capacity=args.capacity if hasattr(args, "capacity") else 0.045,
-        noise_std=args.noise_std,
-        n_samples=args.n_samples,
-        seed=args.seed,
-        n_cycles=getattr(args, "n_cycles", 1),
-        fade_rate=getattr(args, "fade_rate", 0.0),
-    )
+    return factory(noise_std=args.noise_std, n_samples=args.n_samples, seed=args.seed)
 
 
 def cmd_analyze(args) -> int:
+    """Analyze every input in turn.  An input that fails is reported on
+    stderr and skipped; the exit code is EXIT_ERROR if any input failed,
+    else EXIT_UNASSESSABLE if any cycle could not be assessed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     config = _config_dict(args)
-    status = EXIT_OK
-
+    failed = unassessable = False
     for path in args.inputs:
-        stem = Path(path).name.removesuffix(".gz").removesuffix(".csv")
-        log = parse_log(path)
-        curves = log_to_curves(
-            log,
-            cc_tol=args.cc_tol,
-            vmin=args.vmin,
-            vmax=args.vmax,
-            max_points=args.max_points,
-            capacity_ah=args.capacity,
-        )
+        try:
+            unassessable |= _analyze_input(path, args, out, config)
+        except (DqdvGpError, OSError) as exc:
+            print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed = True
+    if failed:
+        return EXIT_ERROR
+    return EXIT_UNASSESSABLE if unassessable else EXIT_OK
 
-        cycle_reports = []
-        unassessable = []
-        for curve in curves:
-            tag = f"{stem}_cycle{curve.cycle}"
-            write_qv_csv(curve, out / f"{tag}_qv.csv")
-            try:
-                model, post, report = analyze_curve(
-                    curve,
-                    grid_n=args.grid_n,
-                    level=args.level,
-                    threshold_v=args.threshold_v,
-                    min_prominence_frac=args.prominence,
-                    significance=args.significance,
-                )
-            except GridDoesNotReachThreshold as exc:
-                unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
-                status = max(status, EXIT_UNASSESSABLE)
-                continue
 
-            with open(out / f"{tag}_dqdv_gp.csv", "w", newline="") as fh:
+def _analyze_input(path, args, out, config) -> bool:
+    """Write the curves and the report of one input; True if some cycle in it
+    could not be assessed."""
+    stem = Path(path).name.removesuffix(".gz").removesuffix(".csv")
+    log = parse_log(path)
+    curves = log_to_curves(
+        log,
+        cc_tol=args.cc_tol,
+        vmin=args.vmin,
+        vmax=args.vmax,
+        max_points=args.max_points,
+        capacity_ah=args.capacity,
+    )
+
+    cycle_reports = []
+    unassessable = []
+    for curve in curves:
+        tag = f"{stem}_cycle{curve.cycle}"
+        write_qv_csv(curve, out / f"{tag}_qv.csv")
+        try:
+            model, post, report = analyze_curve(
+                curve,
+                grid_n=args.grid_n,
+                level=args.level,
+                threshold_v=args.threshold_v,
+                min_prominence_frac=args.prominence,
+                significance=args.significance,
+            )
+        except GridDoesNotReachThreshold as exc:
+            unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
+            continue
+
+        with open(out / f"{tag}_dqdv_gp.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["voltage_v", "mean", "lower", "upper"])
+            for row in zip(post.grid, post.mean, post.lower, post.upper):
+                w.writerow([repr(float(x)) for x in row])
+
+        if args.baseline:
+            cfg = baseline.SgConfig(
+                window=args.sg_window, polyorder=args.sg_polyorder,
+                resample_n=args.grid_n,
+            )
+            grid, dqdv = baseline.fd_dqdv(curve, cfg)
+            with open(out / f"{tag}_dqdv_sg.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["voltage_v", "mean", "lower", "upper"])
-                for row in zip(post.grid, post.mean, post.lower, post.upper):
-                    w.writerow([repr(float(x)) for x in row])
+                w.writerow(["voltage_v", "mean", "method"])
+                for vv, dd in zip(grid, dqdv):
+                    w.writerow([repr(float(vv)), repr(float(dd)), "sg_fd"])
 
-            if args.baseline:
-                cfg = baseline.SgConfig(
-                    window=args.sg_window, polyorder=args.sg_polyorder,
-                    resample_n=args.grid_n,
-                )
-                grid, dqdv = baseline.fd_dqdv(curve, cfg)
-                with open(out / f"{tag}_dqdv_sg.csv", "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(["voltage_v", "mean", "method"])
-                    for vv, dd in zip(grid, dqdv):
-                        w.writerow([repr(float(vv)), repr(float(dd)), "sg_fd"])
+        cycle_reports.append(report.to_dict())
 
-            cycle_reports.append(report.to_dict())
+    doc = {
+        "config": config,
+        "input": {"path": str(path), "sha256": _sha256(path)},
+        "cycles": cycle_reports,
+        "unassessable": unassessable,
+    }
 
-        doc = {
-            "config": config,
-            "input": {"path": str(path), "sha256": _sha256(path)},
-            "cycles": cycle_reports,
-            "unassessable": unassessable,
+    if len(curves) >= 2:
+        series = metrics.throughput_series(curves)
+        doc["throughput"] = {
+            "cycles": [int(c) for c in series.cycles],
+            "normalized": [float(x) for x in series.normalized],
+            "rate_pct_per_cycle": metrics.degradation_rate(
+                series, skip_cycles=args.skip_cycles
+            ),
         }
+        with open(out / f"{stem}_throughput.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["cycle", "normalized_throughput"])
+            for c, nt in zip(series.cycles, series.normalized):
+                w.writerow([int(c), repr(float(nt))])
 
-        if len(curves) >= 2:
-            series = metrics.throughput_series(curves)
-            doc["throughput"] = {
-                "cycles": [int(c) for c in series.cycles],
-                "normalized": [float(x) for x in series.normalized],
-                "rate_pct_per_cycle": metrics.degradation_rate(
-                    series, skip_cycles=args.skip_cycles
-                ),
-            }
-            with open(out / f"{stem}_throughput.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["cycle", "normalized_throughput"])
-                for c, nt in zip(series.cycles, series.normalized):
-                    w.writerow([int(c), repr(float(nt))])
-
-        _write_json(out / f"{stem}_report.json", doc)
-    return status
+    _write_json(out / f"{stem}_report.json", doc)
+    return bool(unassessable)
 
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = _make_spec(args)
+    spec = replace(
+        _make_spec(args),
+        capacity=args.capacity, n_cycles=args.n_cycles, fade_rate=args.fade_rate,
+    )
     log = synth.generate_log(spec)
     write_log(log, out / "log.csv")
     _write_json(out / "spec.json", {"config": _config_dict(args), "spec": spec.to_dict()})
@@ -236,7 +250,7 @@ def cmd_bench(args) -> int:
         for k in range(args.n_seeds)
     ]
     fields = ["seed", "gp_rmse", "sg_rmse", "v_peak_err", "coverage",
-              "length_scale", "noise_std"]
+              "length_scale", "noise_std", "alpha"]
     with open(out / "bench.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=fields)
         w.writeheader()

@@ -2,9 +2,8 @@
 
 The derivative of a GP is again a GP, jointly Gaussian with the values, so
 the dQ/dV mean and covariance follow from the cross-covariance blocks of
-the rational-quadratic kernel (or its squared-exponential limit) with no
-numerical differencing.  Both kernels give f' the prior variance
-sigma_f^2 / l^2.
+the rational-quadratic kernel with no numerical differencing.  The kernel
+gives f' the prior variance sigma_f^2 / l^2 for every alpha.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "derivative_posterior",
     "covariance_full",
     "sample_derivative",
-    "default_grid",
 ]
 
 DEFAULT_GRID_N = 400
@@ -44,11 +42,6 @@ class DerivativePosterior:
     level: float
     lower: np.ndarray
     upper: np.ndarray
-
-
-def default_grid(model: FittedGP, n: int = DEFAULT_GRID_N):
-    """Equally spaced analysis grid spanning the training voltages."""
-    return np.linspace(model.train.xs[0], model.train.xs[-1], n)
 
 
 def _clip_variance(var):

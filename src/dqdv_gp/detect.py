@@ -146,11 +146,13 @@ def classify(
     min_prominence_frac: float = MIN_PROMINENCE_FRAC_DEFAULT,
     significance: str = "band-separated",
     cycle: int = 0,
-    hyperparams: Hyperparams | None = None,
+    *,
+    hyperparams: Hyperparams,
 ) -> PlatingReport:
     """Classify one cycle by the above-threshold differential-peak signature.
 
-    Verdict is Plating iff some candidate sits above ``threshold_v`` and, in
+    ``hyperparams`` are those of the fit behind ``post``; the report records
+    them.  Verdict is Plating iff some candidate sits above ``threshold_v`` and, in
     the default band-separated mode, is resolved beyond its credible band.
     Raises GridDoesNotReachThreshold when the grid tops out at or below the
     threshold (the cycle carries no evidence either way).
@@ -175,13 +177,12 @@ def classify(
             any_significant = True
             break
 
-    hp = hyperparams if hyperparams is not None else Hyperparams(1.0, 1.0, 0.0)
     return PlatingReport(
         cycle=cycle,
         verdict=VERDICT_PLATING if any_significant else VERDICT_NO_PLATING,
         peaks=tuple(above),
         threshold_v=threshold_v,
-        hyperparams=hp,
+        hyperparams=hyperparams,
         grid_vmin=float(post.grid[0]),
         grid_vmax=float(post.grid[-1]),
         grid_n=len(post.grid),

@@ -2,9 +2,8 @@
 
 Conditioning on training data, log marginal likelihood with analytic
 gradients in log-hyperparameter space, and quasi-Newton hyperparameter
-optimization from the best of several starts.  ``fit`` always uses the
-rational-quadratic kernel; conditioning and the LML also accept its
-squared-exponential limit, hyperparameters with alpha unset (see ``kernel``).
+optimization from the best of several starts, all with the
+rational-quadratic kernel of ``kernel``.
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import minimize
 
 from .errors import AllStartsFailed, FactorizationFailure, NonFinite
@@ -131,11 +130,10 @@ def _scaled_state(train, hp):
 def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams):
     """LML of the centered data and its gradient w.r.t. log-hyperparameters.
 
-    Returns (value, grad) with grad ordered (log l, log sigma_f, log sigma_n)
-    for the SE kernel and (log l, log sigma_f, log sigma_n, log alpha) for RQ;
-    the value is in natural units (standardization only changes it by the
-    constant N log std).  Raises FactorizationFailure when the noisy Gram
-    matrix is not positive definite after jitter.
+    Returns (value, grad) with grad ordered (log l, log sigma_f, log sigma_n,
+    log alpha); the value is in natural units (standardization only changes
+    it by the constant N log std).  Raises FactorizationFailure when the
+    noisy Gram matrix is not positive definite after jitter.
     """
     hp_i, xs_c, ys_s, kf, chol, alpha, lml_scaled = _scaled_state(train, hp)
     n = len(train)
@@ -145,15 +143,15 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams):
     inner = np.outer(alpha, alpha)
     inner -= cho_solve((chol, True), np.eye(n))
 
-    d_ell, *d_shape = log_param_grads(xs_c, kf, hp_i)
+    d_ell, d_alpha = log_param_grads(xs_c, kf, hp_i)
     d_sn_diag = 2.0 * hp_i.noise_std**2    # dKn / d log sigma_n (diagonal)
 
     grad = [
         0.5 * float(np.sum(inner * d_ell)),
         float(np.sum(inner * kf)),         # dKn / d log sigma_f = 2 Kf
         0.5 * d_sn_diag * float(np.trace(inner)),
+        0.5 * float(np.sum(inner * d_alpha)),
     ]
-    grad += [0.5 * float(np.sum(inner * dk)) for dk in d_shape]
     return lml, np.array(grad)
 
 
@@ -164,11 +162,11 @@ def _condition(train: TrainingSet, hp: Hyperparams) -> FittedGP:
 
 
 def default_inits(train: TrainingSet) -> list[Hyperparams]:
-    """Multi-start RQ initializations: length scales at fixed fractions of the
+    """Multi-start initializations: length scales at fixed fractions of the
     voltage span, signal at the sample std of ys, noise at 1% of it, alpha 1."""
     span = float(train.xs[-1] - train.xs[0]) or 1.0
     s = train.y_std
-    return [Hyperparams(f * span, s, 0.01 * s, 1.0) for f in (0.02, 0.05, 0.10, 0.20, 0.40)]
+    return [Hyperparams(f * span, s, 0.01 * s) for f in (0.02, 0.05, 0.10, 0.20, 0.40)]
 
 
 def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
@@ -178,9 +176,8 @@ def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
     The other starts are ascended, best first, only while the latest ascent
     fails (no finite LML, or the iteration budget runs out) or ends with a
     hyperparameter on a bound.  Returns the conditioned model with the
-    highest LML seen (never worse than any start).  The kernel is always RQ:
-    alpha is optimized next to l, sigma_f and sigma_n, and an initialization
-    that leaves alpha None starts it at 1.
+    highest LML seen (never worse than any start).  The RQ shape alpha is
+    optimized next to l, sigma_f and sigma_n.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
@@ -212,8 +209,7 @@ def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
 
     starts = []
     for hp0 in inits:
-        alpha0 = 1.0 if hp0.alpha is None else hp0.alpha
-        theta0 = [hp0.length_scale, hp0.signal_std, max(hp0.noise_std, 1e-8 * s), alpha0]
+        theta0 = [hp0.length_scale, hp0.signal_std, max(hp0.noise_std, 1e-8 * s), hp0.alpha]
         x0 = np.clip(np.log(theta0), lo, hi)
         starts.append((neg_lml(x0)[0], x0))
     # stable sort: ties keep the caller's order, so the fit stays deterministic
@@ -250,12 +246,3 @@ def posterior_mean(model: FittedGP, grid):
     ks = kernel_matrix(grid - model.train.x_mean, model.xs_centered, model.hp_internal, "VV")
     return model.train.y_std * (ks @ model.alpha) + model.train.y_mean
 
-
-def posterior_value_variance(model: FittedGP, grid):
-    """Pointwise posterior variance of the latent Q at the given voltages."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    hp_i = model.hp_internal
-    ks = kernel_matrix(grid - model.train.x_mean, model.xs_centered, hp_i, "VV")
-    v = solve_triangular(model.chol, ks.T, lower=True)
-    var = hp_i.signal_std**2 - np.sum(v * v, axis=0)
-    return model.train.y_std**2 * np.clip(var, 0.0, None)

@@ -1,5 +1,4 @@
-"""Rational-quadratic kernel, its squared-exponential limit, and the
-derivative blocks of both.
+"""Rational-quadratic kernel and its derivative blocks.
 
 The rational-quadratic (RQ) covariance
 
@@ -9,7 +8,6 @@ is a scale mixture of squared-exponential (SE) kernels over length scales.
 Small alpha mixes a wide range of length scales; the mixture narrows onto l
 as alpha grows, and SE is the alpha -> infinity limit (Rasmussen & Williams
 2006, GPML sec. 4.2.1).
-``Hyperparams.alpha is None`` selects that SE limit exactly.
 
 All functions are stationary in the input difference and vectorize over
 numpy arrays.  Voltage is in volts, charge in ampere-hours; no unit
@@ -40,13 +38,13 @@ class Hyperparams:
     length_scale : V, > 0
     signal_std   : Ah, > 0
     noise_std    : Ah, >= 0
-    alpha        : dimensionless RQ shape, > 0; None means the SE limit
+    alpha        : dimensionless RQ shape, > 0
     """
 
     length_scale: float
     signal_std: float
     noise_std: float
-    alpha: float | None = None
+    alpha: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.length_scale) and self.length_scale > 0):
@@ -55,22 +53,16 @@ class Hyperparams:
             raise ValueError(f"signal_std must be finite and > 0, got {self.signal_std}")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0 or None, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
     def to_dict(self):
-        d = {
+        return {
             "length_scale": float(self.length_scale),
             "signal_std": float(self.signal_std),
             "noise_std": float(self.noise_std),
+            "alpha": float(self.alpha),
         }
-        if self.alpha is not None:
-            d["alpha"] = float(self.alpha)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["length_scale"], d["signal_std"], d["noise_std"], d.get("alpha"))
 
 
 def _diff(x, x_prime):
@@ -88,16 +80,11 @@ def _rq(u, hp: Hyperparams):
 
 
 def k(x, x_prime, hp: Hyperparams):
-    """Covariance k(x, x'): RQ sigma_f^2 * r^(-alpha) with
-    r = 1 + (x-x')^2 / (2 alpha l^2), or SE sigma_f^2 * exp(-(x-x')^2 / (2 l^2))
-    when alpha is None."""
-    d = _diff(x, x_prime)
-    if hp.alpha is None:
-        return hp.signal_std**2 * np.exp(-0.5 * (d / hp.length_scale) ** 2)
-    return _rq(_rq_u(d, hp), hp)
+    """Covariance k(x, x') = sigma_f^2 * r^(-alpha), r = 1 + (x-x')^2 / (2 alpha l^2)."""
+    return _rq(_rq_u(_diff(x, x_prime), hp), hp)
 
 
-# The RQ derivative blocks and log_param_grads build their results in place,
+# The derivative blocks and log_param_grads build their results in place,
 # one factor at a time; the comment on each step names what the array then
 # holds.  Written as plain expressions they raise the peak RSS of a `bench`
 # run by 1.4 MB on 300-point cycles and 3.8 MB on 500-point cycles (medians
@@ -106,14 +93,11 @@ def k(x, x_prime, hp: Hyperparams):
 
 
 def k_cross(x, x_star, hp: Hyperparams):
-    """Cross-covariance cov(f(x), f'(x*)) = sigma_f^2 * (x - x*) / l^2 * r^(-alpha-1)
-    (SE: k(x, x*) * (x - x*) / l^2).
+    """Cross-covariance cov(f(x), f'(x*)) = sigma_f^2 * (x - x*) / l^2 * r^(-alpha-1).
 
     Antisymmetric under argument swap; zero on the diagonal.
     """
     d = _diff(x, x_star)
-    if hp.alpha is None:
-        return k(x, x_star, hp) * d / hp.length_scale**2
     u = _rq_u(d, hp)
     out = _rq(u, hp)            # sigma_f^2 r^(-alpha)
     u += 1.0                    # u = r
@@ -124,17 +108,11 @@ def k_cross(x, x_star, hp: Hyperparams):
 
 
 def k_dd(x_star_i, x_star_j, hp: Hyperparams):
-    """Derivative-derivative covariance cov(f'(a), f'(b)).
-
-    RQ: sigma_f^2 / l^2 * (r^(-alpha-1) - (alpha+1)/alpha * (a-b)^2 / l^2 * r^(-alpha-2));
-    SE: k(a, b) * (1/l^2 - (a-b)^2 / l^4).  Both equal sigma_f^2 / l^2 on the
-    diagonal.
+    """Derivative-derivative covariance cov(f'(a), f'(b))
+    = sigma_f^2 / l^2 * (r^(-alpha-1) - (alpha+1)/alpha * (a-b)^2 / l^2 * r^(-alpha-2)),
+    which is sigma_f^2 / l^2 on the diagonal.
     """
-    ell2 = hp.length_scale**2
-    d = _diff(x_star_i, x_star_j)
-    if hp.alpha is None:
-        return k(x_star_i, x_star_j, hp) * (1.0 / ell2 - d * d / ell2**2)
-    u = _rq_u(d, hp)
+    u = _rq_u(_diff(x_star_i, x_star_j), hp)
     out = _rq(u, hp)                # sigma_f^2 r^(-alpha)
     r = u + 1.0
     # factor out r^(-alpha-1): what is left is 1 - (alpha+1)/alpha * d^2/l^2 / r,
@@ -144,7 +122,7 @@ def k_dd(x_star_i, x_star_j, hp: Hyperparams):
     u += 1.0                        # u = 1 - 2 (alpha+1) u / r
     out *= u
     out /= r                        # sigma_f^2 r^(-alpha-1) (1 - ...)
-    out /= ell2
+    out /= hp.length_scale**2
     return out
 
 
@@ -170,17 +148,14 @@ def log_param_grads(xs, kv, hp: Hyperparams):
     """Derivatives of the Gram matrix over ``xs`` w.r.t. its shape log-parameters.
 
     ``kv`` is that Gram matrix, kernel_matrix(xs, xs, hp, "VV").  Returns
-    [dK/d log l] for SE and [dK/d log l, dK/d log alpha] for RQ, with
-    dk/d log l = k * d^2 / (l^2 r) and dk/d log alpha = k * alpha * ((r-1)/r - log r).
+    [dK/d log l, dK/d log alpha], with dk/d log l = k * d^2 / (l^2 r) and
+    dk/d log alpha = k * alpha * ((r-1)/r - log r).
     (dK/d log sigma_f = 2K needs no kernel-specific code.)  Works in place
     on as few n x n arrays as it can: this is the peak-memory step of a fit.
     """
     d2 = np.subtract.outer(xs, xs)
     d2 *= d2
     d2 /= hp.length_scale**2        # d^2 / l^2
-    if hp.alpha is None:
-        d2 *= kv
-        return [d2]
     u = d2 * (0.5 / hp.alpha)       # r - 1
     log_r = np.log1p(u)
     d2 *= kv

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import baseline, detect, synth
+from . import baseline, detect, ingest, synth
 from .derivative import DEFAULT_GRID_N, derivative_posterior
 from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
@@ -47,8 +47,8 @@ def analyze_curve(
 def log_to_curves(
     log,
     cc_tol: float = 0.02,
-    vmin: float = 2.75,
-    vmax: float = 4.2,
+    vmin: float = ingest.V_MIN_DEFAULT,
+    vmax: float = ingest.V_MAX_DEFAULT,
     max_points: int = 500,
     capacity_ah: float | None = None,
 ):
@@ -122,6 +122,7 @@ def paired_trial(
         "coverage": coverage,
         "length_scale": model.hp.length_scale,
         "noise_std": model.hp.noise_std,
+        "alpha": model.hp.alpha,
     }
 
 

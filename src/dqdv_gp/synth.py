@@ -9,7 +9,7 @@ can be checked against exact truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -167,17 +167,6 @@ def true_dqdv(spec: SynthSpec, v):
 def true_q(spec: SynthSpec, v):
     """Exact cumulative charge Q(v) of the noise-free first-cycle curve."""
     return _scale(spec) * _raw_q(spec, v)
-
-
-def mean_background_dqdv(spec: SynthSpec) -> float:
-    """Window-average of the background-only dQ/dV (bump amplitudes are
-    conventionally quoted as multiples of this level)."""
-    bg_only = SynthSpec(
-        v_range=spec.v_range, capacity=spec.capacity, background=spec.background,
-    )
-    vv = np.linspace(spec.v_range[0], spec.v_range[1], 2001)
-    # same overall normalization as the full spec
-    return float(np.mean(_scale(spec) * _raw_dqdv(bg_only, vv)))
 
 
 def plating_spec(**overrides) -> SynthSpec:

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from dqdv_gp.cli import main
+from dqdv_gp.ingest import ChargeLog, write_log
+from dqdv_gp.synth import generate_log, plating_spec
 
 
 def _run_synth(tmp_path, *extra):
@@ -85,6 +88,40 @@ def test_analyze_malformed_header_is_error(tmp_path):
     assert main(["analyze", str(bad)]) == 1
 
 
+def _cut_cycle_2_log(tmp_path):
+    # a 3-cycle log whose cycle 2 stops after 12 samples, all below 2.9 V
+    log = generate_log(plating_spec(n_cycles=3, n_samples=100, seed=2))
+    first = int(np.argmax(log.cycle == 2))
+    keep = (log.cycle != 2) | (np.arange(len(log)) < first + 12)
+    path = tmp_path / "cut.csv"
+    write_log(ChargeLog(t=log.t[keep], i=log.i[keep], v=log.v[keep],
+                        cycle=log.cycle[keep]), path)
+    return path
+
+
+def test_analyze_bad_input_does_not_stop_the_others(tmp_path, capsys):
+    bad = _cut_cycle_2_log(tmp_path)
+    good = _run_synth(tmp_path, "--n-samples", "100")
+    out = tmp_path / "report"
+    rc = main(["analyze", str(bad), str(good), "--out", str(out), "--vmin", "2.9"])
+    assert rc == 1
+    assert f"error: {bad}: TooFewPoints:" in capsys.readouterr().err
+    assert not (out / "cut_report.json").exists()
+    doc = json.loads((out / "log_report.json").read_text())
+    assert doc["cycles"][0]["verdict"] == "Plating"
+
+
+def test_analyze_failed_input_outranks_unassessable(tmp_path):
+    bad = _cut_cycle_2_log(tmp_path)
+    good = _run_synth(tmp_path, "--n-samples", "100")
+    out = tmp_path / "report"
+    rc = main(["analyze", str(bad), str(good), "--out", str(out),
+               "--vmin", "2.9", "--vmax", "3.9"])
+    assert rc == 1
+    doc = json.loads((out / "log_report.json").read_text())
+    assert doc["unassessable"][0]["cycle"] == 1
+
+
 def test_analyze_determinism(tmp_path):
     log = _run_synth(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -112,4 +149,5 @@ def test_bench_smoke(tmp_path):
     assert 0.0 <= summary["coverage_mean"] <= 1.0
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0].startswith("seed,gp_rmse,sg_rmse")
+    assert lines[0].endswith(",alpha")
     assert len(lines) == 4

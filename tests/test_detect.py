@@ -12,6 +12,7 @@ from dqdv_gp.detect import (
     find_peaks,
 )
 from dqdv_gp.errors import GridDoesNotReachThreshold
+from dqdv_gp.kernel import Hyperparams
 
 
 def _post(grid, mean, sd, level=0.95):
@@ -27,6 +28,7 @@ def _post(grid, mean, sd, level=0.95):
 
 
 GRID = np.linspace(2.8, 4.2, 400)
+HP = Hyperparams(0.05, 0.01, 1e-4, 0.5)
 
 
 def _gauss(center, width, amp):
@@ -76,51 +78,58 @@ class TestFindPeaks:
 class TestClassify:
     def test_plating_verdict_with_resolved_peak(self):
         mean = 0.02 + _gauss(3.5, 0.06, 0.06) + _gauss(4.08, 0.03, 0.08)
-        report = classify(_post(GRID, mean, 1e-4))
+        report = classify(_post(GRID, mean, 1e-4), hyperparams=HP)
         assert report.verdict == "Plating"
         assert any(p.v_peak > 4.0 for p in report.peaks)
 
     def test_no_plating_without_high_voltage_peak(self):
         mean = 0.02 + _gauss(3.45, 0.05, 0.06) + _gauss(3.75, 0.06, 0.07)
-        report = classify(_post(GRID, mean, 1e-4))
+        report = classify(_post(GRID, mean, 1e-4), hyperparams=HP)
         assert report.verdict == "NoPlating"
         assert report.peaks == ()
 
     def test_unresolved_peak_is_not_plating(self):
         # the bump exists in the mean but drowns inside the credible band
         mean = 0.02 + _gauss(4.08, 0.03, 0.01)
-        report = classify(_post(GRID, mean, sd=0.05))
+        report = classify(_post(GRID, mean, sd=0.05), hyperparams=HP)
         assert report.verdict == "NoPlating"
         # the candidate is still reported for inspection
         assert len(report.peaks) == 1
 
     def test_mean_only_mode_ignores_bands(self):
         mean = 0.02 + _gauss(4.08, 0.03, 0.01)
-        report = classify(_post(GRID, mean, sd=0.05), significance="mean-only")
+        report = classify(
+            _post(GRID, mean, sd=0.05), significance="mean-only", hyperparams=HP
+        )
         assert report.verdict == "Plating"
 
     def test_grid_below_threshold_raises(self):
         grid = np.linspace(2.8, 3.95, 200)
         mean = 0.02 + np.exp(-0.5 * ((grid - 3.5) / 0.05) ** 2) * 0.1
         with pytest.raises(GridDoesNotReachThreshold):
-            classify(_post(grid, mean, 1e-4))
+            classify(_post(grid, mean, 1e-4), hyperparams=HP)
 
     def test_threshold_is_configurable(self):
         mean = 0.02 + _gauss(3.9, 0.03, 0.08)
-        assert classify(_post(GRID, mean, 1e-4)).verdict == "NoPlating"
-        assert classify(_post(GRID, mean, 1e-4), threshold_v=3.8).verdict == "Plating"
+        assert classify(_post(GRID, mean, 1e-4), hyperparams=HP).verdict == "NoPlating"
+        report = classify(_post(GRID, mean, 1e-4), threshold_v=3.8, hyperparams=HP)
+        assert report.verdict == "Plating"
 
     def test_unknown_significance_mode(self):
         with pytest.raises(ValueError, match="significance"):
-            classify(_post(GRID, np.zeros_like(GRID), 1e-4), significance="bayes")
+            classify(
+                _post(GRID, np.zeros_like(GRID), 1e-4), significance="bayes", hyperparams=HP
+            )
 
     def test_report_json_schema(self):
         mean = 0.02 + _gauss(4.08, 0.03, 0.08)
-        doc = classify(_post(GRID, mean, 1e-4), cycle=7).to_dict()
+        doc = classify(_post(GRID, mean, 1e-4), cycle=7, hyperparams=HP).to_dict()
         assert set(doc) == {"cycle", "verdict", "threshold_v", "peaks", "hyperparams", "grid"}
         assert doc["cycle"] == 7
         assert set(doc["grid"]) == {"vmin", "vmax", "n"}
-        assert set(doc["hyperparams"]) == {"length_scale", "signal_std", "noise_std"}
+        assert set(doc["hyperparams"]) == {
+            "length_scale", "signal_std", "noise_std", "alpha"
+        }
         for p in doc["peaks"]:
             assert set(p) == {
                 "v_peak", "magnitude", "band_halfwidth", "prominence", "confidence_pct"

@@ -4,8 +4,6 @@ The LML is cross-checked against a dense reimplementation using slogdet
 and a direct solve, with no shared code path.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from dqdv_gp.gp_core import (
     fit,
     log_marginal_likelihood,
     posterior_mean,
-    posterior_value_variance,
 )
 from dqdv_gp.kernel import Hyperparams, jitter_for, kernel_matrix
 
@@ -57,29 +54,40 @@ def test_lml_matches_dense_oracle():
         assert val == pytest.approx(_dense_lml(train, hp), rel=1e-9, abs=1e-9)
 
 
+def _check_lml_gradient(train, theta):
+    # (log l, log sigma_f, log sigma_n, log alpha) against central differences
+    _, grad = log_marginal_likelihood(train, Hyperparams(*theta))
+    assert grad.shape == (4,)
+    log_theta = np.log(theta)
+
+    def central(j, h):
+        tp, tm = log_theta.copy(), log_theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        fp, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tp)))
+        fm, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tm)))
+        return (fp - fm) / (2 * h)
+
+    for j in range(4):
+        # Richardson-extrapolated stencil: at large alpha the LML is nearly
+        # flat in log alpha and a 1e-6 step drowns in cancellation
+        h = 1e-3
+        fd = (4.0 * central(j, h / 2) - central(j, h)) / 3.0
+        assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
 def test_lml_gradient_matches_fd():
+    # at the near-SE alpha 1e8
     rng = np.random.default_rng(42)
     train = _toy_train(30, seed=1)
     for _ in range(20):
         theta = np.array(
-            [rng.uniform(0.02, 0.6), rng.uniform(0.005, 0.1), rng.uniform(1e-4, 1e-2)]
+            [rng.uniform(0.02, 0.6), rng.uniform(0.005, 0.1), rng.uniform(1e-4, 1e-2), 1e8]
         )
-        hp = Hyperparams(*theta)
-        _, grad = log_marginal_likelihood(train, hp)
-        log_theta = np.log(theta)
-        h = 1e-6
-        for j in range(3):
-            tp, tm = log_theta.copy(), log_theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fp, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tp)))
-            fm, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tm)))
-            fd = (fp - fm) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        _check_lml_gradient(train, theta)
 
 
 def test_rq_lml_gradient_matches_fd():
-    # (log l, log sigma_f, log sigma_n, log alpha) against central differences
     rng = np.random.default_rng(43)
     train = _toy_train(30, seed=2)
     for _ in range(20):
@@ -87,32 +95,14 @@ def test_rq_lml_gradient_matches_fd():
             rng.uniform(0.02, 0.6), rng.uniform(0.005, 0.1), rng.uniform(1e-4, 1e-2),
             np.exp(rng.uniform(np.log(1e-2), np.log(1e3))),
         ])
-        _, grad = log_marginal_likelihood(train, Hyperparams(*theta))
-        assert grad.shape == (4,)
-        log_theta = np.log(theta)
-
-        def central(j, h):
-            tp, tm = log_theta.copy(), log_theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fp, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tp)))
-            fm, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tm)))
-            return (fp - fm) / (2 * h)
-
-        for j in range(4):
-            # Richardson-extrapolated stencil: at large alpha the LML is nearly
-            # flat in log alpha and a 1e-6 step drowns in cancellation
-            h = 1e-3
-            fd = (4.0 * central(j, h / 2) - central(j, h)) / 3.0
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        _check_lml_gradient(train, theta)
 
 
 def test_fit_optimizes_alpha():
     train = _toy_train(50, seed=4)
-    assert fit(train).hp.alpha is not None
-    # an initialization without alpha starts the RQ shape at 1
-    se_inits = [replace(hp0, alpha=None) for hp0 in default_inits(train)]
-    assert fit(train, init=se_inits).hp.alpha is not None
+    assert all(hp0.alpha == 1.0 for hp0 in default_inits(train))
+    alpha = fit(train).hp.alpha
+    assert alpha != 1.0 and 1e-2 <= alpha <= 1e3
 
 
 def test_lml_single_zero_observation():
@@ -164,15 +154,6 @@ def test_posterior_mean_interpolates_in_low_noise():
     model = fit(train)
     mu = posterior_mean(model, train.xs)
     assert np.max(np.abs(mu - train.ys)) < 1e-4 * np.ptp(train.ys)
-
-
-def test_posterior_value_variance_shrinks_at_data():
-    train = _toy_train(60, seed=6)
-    model = fit(train)
-    var_at_data = posterior_value_variance(model, train.xs)
-    var_outside = posterior_value_variance(model, np.array([4.6]))
-    assert var_at_data.max() < var_outside[0]
-    assert np.all(var_at_data >= 0)
 
 
 def test_trainingset_validation():

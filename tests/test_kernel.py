@@ -17,17 +17,20 @@ def test_k_at_zero_distance_is_signal_variance():
 
 
 def test_k_known_value():
-    # sigma_f^2 * exp(-0.5 * (0.05/0.1)^2)
-    expected = 0.02**2 * np.exp(-0.125)
+    # alpha = 1: sigma_f^2 / (1 + 0.05^2 / (2 * 0.1^2))
+    expected = 0.02**2 / 1.125
     assert k(3.80, 3.75, HP) == pytest.approx(expected, rel=1e-12)
 
 
 def test_unit_signal_reference_values():
+    # alpha = 1, so r = 1 + d^2 / (2 l^2)
     hp = Hyperparams(length_scale=0.1, signal_std=1.0, noise_std=0.0)
-    assert k(3.8, 4.0, hp) == pytest.approx(np.exp(-2.0), rel=1e-12)
-    # (x - x*) / l^2 factor: exp(-1/2) * 0.1 / 0.01
-    assert k_cross(4.0, 3.9, hp) == pytest.approx(np.exp(-0.5) * 10.0, rel=1e-12)
-    assert k_dd(4.0, 4.2, hp) == pytest.approx(np.exp(-2.0) * (100.0 - 0.04 / 1e-4),
+    # d = 0.2: r = 3
+    assert k(3.8, 4.0, hp) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # d = 0.1: r = 1.5, (x - x*) / l^2 * r^-2 = 10 / 2.25
+    assert k_cross(4.0, 3.9, hp) == pytest.approx(10.0 / 2.25, rel=1e-12)
+    # d = -0.2: 100 * (3^-2 - 2 * 4 * 3^-3)
+    assert k_dd(4.0, 4.2, hp) == pytest.approx(100.0 * (1.0 / 9.0 - 8.0 / 27.0),
                                                rel=1e-12)
     assert k(1.7, 1.7, Hyperparams(1.0, 2.0, 0.0)) == pytest.approx(4.0)
 
@@ -46,20 +49,21 @@ def test_k_cross_antisymmetric():
     assert a == pytest.approx(-b, rel=1e-12)
 
 
-def _rand_hp(rng):
+def _rand_rq_hp(rng):
     return Hyperparams(
         length_scale=float(rng.uniform(0.01, 1.0)),
         signal_std=float(rng.uniform(1e-3, 1.0)),
         noise_std=float(rng.uniform(0.0, 0.1)),
+        alpha=float(np.exp(rng.uniform(np.log(1e-2), np.log(1e3)))),
     )
 
 
 def test_k_cross_matches_fd_of_k():
-    # d/dx* k(x, x*) at 1000 random triples
+    # d/dx* k(x, x*) at 1000 random triples at the near-SE alpha 1e8
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(1000):
-        hp = _rand_hp(rng)
+        hp = replace(_rand_rq_hp(rng), alpha=1e8)
         x, xs = rng.uniform(2.5, 4.5, size=2)
         fd = (k(x, xs + h, hp) - k(x, xs - h, hp)) / (2 * h)
         val = k_cross(x, xs, hp)
@@ -68,9 +72,10 @@ def test_k_cross_matches_fd_of_k():
 
 
 def test_k_dd_matches_second_fd_of_k():
+    # as above for d^2/da db, at the near-SE alpha 1e8
     rng = np.random.default_rng(8)
     for _ in range(1000):
-        hp = _rand_hp(rng)
+        hp = replace(_rand_rq_hp(rng), alpha=1e8)
         a, b = rng.uniform(2.5, 4.5, size=2)
         h = 1e-4 * hp.length_scale
         # d^2/da db via the cross-difference stencil
@@ -83,16 +88,8 @@ def test_k_dd_matches_second_fd_of_k():
         assert abs(val - fd) <= 1e-4 * scale
 
 
-def _rand_rq_hp(rng):
-    return Hyperparams(
-        length_scale=float(rng.uniform(0.01, 1.0)),
-        signal_std=float(rng.uniform(1e-3, 1.0)),
-        noise_std=float(rng.uniform(0.0, 0.1)),
-        alpha=float(np.exp(rng.uniform(np.log(1e-2), np.log(1e3)))),
-    )
-
-
 def test_rq_k_cross_matches_fd_of_k():
+    # d/dx* k(x, x*) at 1000 random triples with random alpha
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(1000):
@@ -134,19 +131,17 @@ def test_rq_reference_values_and_diagonals():
 
 
 def test_rq_tends_to_se_for_large_alpha():
+    # the fit bounds alpha at 1e3, which smooth data reach; the closed-form SE
+    # blocks here are the alpha -> infinity limit
     xs = np.linspace(2.8, 4.1, 25)
+    d = xs[:, None] - xs[None, :]
+    ell2 = HP.length_scale**2
+    se_vv = HP.signal_std**2 * np.exp(-0.5 * d * d / ell2)
+    se = {"VV": se_vv, "VD": se_vv * d / ell2, "DD": se_vv * (1.0 / ell2 - d * d / ell2**2)}
     rq = replace(HP, alpha=1e8)
-    for block in ("VV", "VD", "DD"):
-        se_m = kernel_matrix(xs, xs, HP, block)
+    for block, se_m in se.items():
         rq_m = kernel_matrix(xs, xs, rq, block)
         assert np.allclose(rq_m, se_m, rtol=1e-6, atol=1e-9 * np.abs(se_m).max())
-
-
-def test_hyperparams_alpha_is_optional_in_dict():
-    assert "alpha" not in HP.to_dict()
-    rq = replace(HP, alpha=0.5)
-    assert rq.to_dict()["alpha"] == 0.5
-    assert Hyperparams.from_dict(rq.to_dict()) == rq
 
 
 def test_kernel_matrix_shapes_and_entries():
@@ -174,11 +169,12 @@ def test_kernel_matrix_rejects_unknown_block():
     ell=st.floats(1e-3, 10.0),
     sf=st.floats(1e-4, 10.0),
     sn=st.floats(0.0, 1.0),
+    alpha=st.floats(1e-2, 1e3),
 )
 @settings(max_examples=200, deadline=None)
-def test_hyperparams_roundtrip_and_jitter_floor(ell, sf, sn):
-    hp = Hyperparams(ell, sf, sn)
-    assert Hyperparams.from_dict(hp.to_dict()) == hp
+def test_hyperparams_roundtrip_and_jitter_floor(ell, sf, sn, alpha):
+    hp = Hyperparams(ell, sf, sn, alpha)
+    assert Hyperparams(**hp.to_dict()) == hp
     assert jitter_for(hp) >= 1e-10
     assert jitter_for(hp) >= 1e-12 * sf**2
 

@@ -59,7 +59,7 @@ def test_paired_trial_fields_and_reproducibility():
     assert row == again
     assert set(row) == {
         "seed", "gp_rmse", "sg_rmse", "v_peak_err", "coverage",
-        "length_scale", "noise_std",
+        "length_scale", "noise_std", "alpha",
     }
     assert 0.0 <= row["coverage"] <= 1.0
     assert row["gp_rmse"] > 0 and row["sg_rmse"] > 0
