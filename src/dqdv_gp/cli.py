@@ -20,7 +20,15 @@ import numpy as np
 from . import baseline, detect, metrics, synth
 from .derivative import DEFAULT_GRID_N
 from .errors import DqdvGpError, GridDoesNotReachThreshold
-from .ingest import V_MAX_DEFAULT, V_MIN_DEFAULT, parse_log, write_log, write_qv_csv
+from .ingest import (
+    CC_TOL_DEFAULT,
+    MAX_POINTS_DEFAULT,
+    V_MAX_DEFAULT,
+    V_MIN_DEFAULT,
+    parse_log,
+    write_log,
+    write_qv_csv,
+)
 from .pipeline import analyze_curve, log_to_curves, paired_trial
 
 EXIT_OK = 0
@@ -50,8 +58,8 @@ def _write_json(path, payload):
 def _add_ingest_flags(p):
     p.add_argument("--vmin", type=float, default=V_MIN_DEFAULT)
     p.add_argument("--vmax", type=float, default=V_MAX_DEFAULT)
-    p.add_argument("--max-points", type=int, default=500)
-    p.add_argument("--cc-tol", type=float, default=0.02)
+    p.add_argument("--max-points", type=int, default=MAX_POINTS_DEFAULT)
+    p.add_argument("--cc-tol", type=float, default=CC_TOL_DEFAULT)
 
 
 def _add_analysis_flags(p):

@@ -40,6 +40,8 @@ __all__ = [
 
 V_MIN_DEFAULT = 2.75
 V_MAX_DEFAULT = 4.2
+MAX_POINTS_DEFAULT = 500
+CC_TOL_DEFAULT = 0.02
 SECONDS_PER_HOUR = 3600.0
 
 
@@ -198,7 +200,7 @@ def write_log(log: ChargeLog, dest, spec: CsvSpec = CsvSpec()):
 MIN_SEGMENT_SAMPLES = 10
 
 
-def extract_cc_charge(log: ChargeLog, tol: float = 0.02) -> list[CCSegment]:
+def extract_cc_charge(log: ChargeLog, tol: float = CC_TOL_DEFAULT) -> list[CCSegment]:
     """Find maximal constant-current charge runs.
 
     A run has I > 0 throughout, every sample within ``tol`` of the run-median
@@ -269,7 +271,7 @@ DUPLICATE_V_EPS = 1e-4  # 0.1 mV, below 16-bit cycler quantization at 4.2 V
 
 def clean_qv(
     curve: QVCurve,
-    max_points: int = 500,
+    max_points: int = MAX_POINTS_DEFAULT,
     vmin: float = V_MIN_DEFAULT,
     vmax: float = V_MAX_DEFAULT,
 ) -> QVCurve:

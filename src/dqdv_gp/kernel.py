@@ -144,27 +144,30 @@ def kernel_matrix(xs, xs2, hp: Hyperparams, block: str = "VV"):
     return fn(xs[:, None], xs2[None, :], hp)
 
 
-def log_param_grads(xs, kv, hp: Hyperparams):
-    """Derivatives of the Gram matrix over ``xs`` w.r.t. its shape log-parameters.
+def log_param_grads(xs, hp: Hyperparams):
+    """Gram matrix over ``xs`` and its derivatives w.r.t. the shape log-parameters.
 
-    ``kv`` is that Gram matrix, kernel_matrix(xs, xs, hp, "VV").  Returns
-    [dK/d log l, dK/d log alpha], with dk/d log l = k * d^2 / (l^2 r) and
-    dk/d log alpha = k * alpha * ((r-1)/r - log r).
-    (dK/d log sigma_f = 2K needs no kernel-specific code.)  Works in place
-    on as few n x n arrays as it can: this is the peak-memory step of a fit.
+    Returns [K, dK/d log l, dK/d log alpha], with dk/d log l = k d^2 / (l^2 r)
+    = 2 alpha k q and dk/d log alpha = k alpha (q - log r), q = (r-1)/r, from
+    one pass that computes u = r - 1 and log r = log1p(u) once.  K equals
+    kernel_matrix(xs, xs, hp, "VV") bit for bit.  (dK/d log sigma_f = 2K
+    needs no kernel-specific code.)
     """
-    d2 = np.subtract.outer(xs, xs)
-    d2 *= d2
-    d2 /= hp.length_scale**2        # d^2 / l^2
-    u = d2 * (0.5 / hp.alpha)       # r - 1
+    u = np.subtract.outer(xs, xs)
+    u *= u
+    u *= 0.5 / (hp.alpha * hp.length_scale**2)   # r - 1, as _rq_u
     log_r = np.log1p(u)
-    d2 *= kv
-    d2 /= u + 1.0                   # k d^2 / (l^2 r)
-    u /= u + 1.0                    # (r - 1) / r
-    u -= log_r
+    kv = u + 1.0                    # r
+    u /= kv                         # q
+    np.multiply(log_r, -hp.alpha, out=kv)
+    np.exp(kv, out=kv)
+    kv *= hp.signal_std**2          # k = sigma_f^2 r^(-alpha), as _rq
+    np.subtract(u, log_r, out=log_r)
+    log_r *= kv
+    log_r *= hp.alpha               # k alpha (q - log r)
     u *= kv
-    u *= hp.alpha                   # k alpha ((r - 1)/r - log r)
-    return [d2, u]
+    u *= 2.0 * hp.alpha             # k d^2 / (l^2 r)
+    return [kv, u, log_r]
 
 
 def jitter_for(hp: Hyperparams) -> float:

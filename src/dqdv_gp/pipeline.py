@@ -46,10 +46,10 @@ def analyze_curve(
 
 def log_to_curves(
     log,
-    cc_tol: float = 0.02,
+    cc_tol: float = ingest.CC_TOL_DEFAULT,
     vmin: float = ingest.V_MIN_DEFAULT,
     vmax: float = ingest.V_MAX_DEFAULT,
-    max_points: int = 500,
+    max_points: int = ingest.MAX_POINTS_DEFAULT,
     capacity_ah: float | None = None,
 ):
     """Segment a charge log into cleaned per-cycle Q(V) curves."""

@@ -7,6 +7,8 @@ and a direct solve, with no shared code path.
 import numpy as np
 import pytest
 
+from dqdv_gp import gp_core
+from dqdv_gp.errors import AllStartsFailed, FactorizationFailure
 from dqdv_gp.gp_core import (
     TrainingSet,
     default_inits,
@@ -96,6 +98,95 @@ def test_rq_lml_gradient_matches_fd():
             np.exp(rng.uniform(np.log(1e-2), np.log(1e3))),
         ])
         _check_lml_gradient(train, theta)
+
+
+def _dense_lml_grad(train, hp):
+    """Independent gradient oracle: 0.5 tr((a a^T - Kn^-1) dKn/dtheta) with a
+    dense np.linalg.inv and closed-form dKn blocks.  Also returns cond(Kn)."""
+    s = max(float(np.std(train.ys)), 1e-12)
+    ell, sf, sn, alpha = hp.length_scale, hp.signal_std / s, hp.noise_std / s, hp.alpha
+    x = train.xs - train.xs.mean()
+    y = (train.ys - train.ys.mean()) / s
+    d2 = np.subtract.outer(x, x) ** 2
+    r = 1.0 + d2 / (2.0 * alpha * ell**2)
+    kf = sf**2 * r**-alpha
+    eye = np.eye(len(x))
+    kn = kf + (sn**2 + max(1e-10, 1e-12 * sf**2)) * eye
+    kinv = np.linalg.inv(kn)
+    a = kinv @ y
+    inner = np.outer(a, a) - kinv
+    blocks = [
+        kf * d2 / (ell**2 * r),                      # d / d log l
+        2.0 * kf,                                    # d / d log sigma_f
+        2.0 * sn**2 * eye,                           # d / d log sigma_n
+        kf * alpha * ((r - 1.0) / r - np.log(r)),    # d / d log alpha
+    ]
+    return np.array([0.5 * np.sum(inner * b) for b in blocks]), np.linalg.cond(kn)
+
+
+def test_lml_gradient_matches_dense_inverse_at_scale():
+    # n = 300, where the lower-triangle traces and the dpotri inverse carry
+    # the product; the FD checks above run at n = 30
+    train = _toy_train(300, seed=6)
+    s = train.y_std
+    h = float(np.diff(train.xs)[0])
+    rng = np.random.default_rng(44)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    cases = [
+        # alpha at both ends of the fit's bounds; noise at the jitter floor
+        # (sigma_n^2 = 1e-10 in standardized units)
+        Hyperparams(0.5 * h, s, 1e-5 * s, 1e-2),
+        Hyperparams(0.5 * h, s, 1e-5 * s, 1e3),
+        Hyperparams(1.5 * h, 2.0 * s, 1e-5 * s, 1.2e-2),
+        Hyperparams(h, 0.5 * s, 2e-5 * s, 8e2),
+    ]
+    for _ in range(8):
+        cases.append(Hyperparams(
+            log_uniform(0.3 * h, 1.5 * h), log_uniform(0.3 * s, 3.0 * s),
+            log_uniform(1e-5 * s, 1e-1 * s), log_uniform(1e-2, 1e3)))
+    for _ in range(4):
+        # fit-like: long length scale and small alpha, as on plating cycles
+        cases.append(Hyperparams(
+            log_uniform(0.02, 0.1), log_uniform(0.3 * s, 3.0 * s),
+            log_uniform(1e-2 * s, 1e-1 * s), log_uniform(1e-2, 1e-1)))
+    for hp in cases:
+        ref, cond = _dense_lml_grad(train, hp)
+        # the float64 reference inverse is itself good to about cond * eps
+        assert cond < 1e6, hp
+        _, grad = log_marginal_likelihood(train, hp)
+        np.testing.assert_allclose(grad, ref, rtol=1e-8, err_msg=str(hp))
+
+
+def test_indefinite_gram_raises_factorization_failure(monkeypatch):
+    # raw dpotrf does no finiteness check, so both a negative and a NaN
+    # diagonal must still surface as FactorizationFailure
+    train = _toy_train(40, seed=1)
+    hp = Hyperparams(0.1, 0.02, 1e-3)
+    for jitter in (lambda hp_i: -2.0 * hp_i.signal_std**2, lambda hp_i: np.nan):
+        monkeypatch.setattr(gp_core, "jitter_for", jitter)
+        with pytest.raises(FactorizationFailure):
+            log_marginal_likelihood(train, hp)
+        # every start then scores the optimizer penalty
+        with pytest.raises(AllStartsFailed):
+            fit(train)
+
+
+def test_fit_evaluates_through_module_lml(monkeypatch):
+    # the benchmark counts LML calls per fit by patching this module attribute
+    calls = []
+    lml = gp_core.log_marginal_likelihood
+
+    def counted(train, hp):
+        calls.append(hp)
+        return lml(train, hp)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
+    train = _toy_train(40, seed=3)
+    fit(train)
+    assert len(calls) >= len(default_inits(train)) + 1
 
 
 def test_fit_optimizes_alpha():

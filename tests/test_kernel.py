@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdv_gp.kernel import Hyperparams, jitter_for, k, k_cross, k_dd, kernel_matrix
+from dqdv_gp.kernel import (
+    Hyperparams,
+    jitter_for,
+    k,
+    k_cross,
+    k_dd,
+    kernel_matrix,
+    log_param_grads,
+)
 
 HP = Hyperparams(length_scale=0.1, signal_std=0.02, noise_std=1e-4)
 
@@ -158,6 +166,24 @@ def test_kernel_matrix_vv_symmetric_psd():
     assert np.allclose(m, m.T)
     w = np.linalg.eigvalsh(m)
     assert w.min() >= -1e-12 * w.max()
+
+
+def test_log_param_grads_match_fd_of_kernel_matrix():
+    # the Gram matrix is the VV block bit for bit, so the model conditioned
+    # at the optimum reproduces the LML of the optimizer's last evaluation
+    rng = np.random.default_rng(45)
+    xs = np.linspace(-0.65, 0.65, 30)
+    for _ in range(10):
+        hp = _rand_rq_hp(rng)
+        kv, d_ell, d_alpha = log_param_grads(xs, hp)
+        assert np.array_equal(kv, kernel_matrix(xs, xs, hp, "VV"))
+        for field, grad in (("length_scale", d_ell), ("alpha", d_alpha)):
+            h = 1e-5
+            value = getattr(hp, field)
+            kp = kernel_matrix(xs, xs, replace(hp, **{field: value * np.exp(h)}), "VV")
+            km = kernel_matrix(xs, xs, replace(hp, **{field: value * np.exp(-h)}), "VV")
+            fd = (kp - km) / (2 * h)
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9 * hp.signal_std**2)
 
 
 def test_kernel_matrix_rejects_unknown_block():
