@@ -17,7 +17,6 @@ from .derivative import (
 )
 from .ingest import (
     ChargeLog,
-    CsvSpec,
     QVCurve,
     parse_log,
     write_log,
@@ -39,7 +38,7 @@ from .synth import (
     generate_cycle,
     generate_log,
 )
-from .pipeline import analyze_curve, fit_curve, log_to_curves, paired_trial
+from .pipeline import analyze_curve, log_to_curves, paired_trial
 from . import errors
 
 __version__ = "0.1.0"

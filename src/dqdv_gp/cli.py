@@ -7,7 +7,6 @@ inputs, so identical runs reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -26,8 +25,8 @@ from .ingest import (
     V_MAX_DEFAULT,
     V_MIN_DEFAULT,
     parse_log,
+    write_csv,
     write_log,
-    write_qv_csv,
 )
 from .pipeline import analyze_curve, log_to_curves, paired_trial
 
@@ -68,8 +67,6 @@ def _add_analysis_flags(p):
     p.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
     p.add_argument("--prominence", type=float, default=detect.MIN_PROMINENCE_FRAC_DEFAULT,
                    help="minimum peak prominence as a fraction of the mean's range")
-    p.add_argument("--significance", choices=["band-separated", "mean-only"],
-                   default="band-separated")
 
 
 def _add_sg_flags(p):
@@ -96,7 +93,6 @@ def build_parser():
                     help="cycles excluded from the degradation-rate fit")
     pa.add_argument("--capacity", type=float, default=None,
                     help="nominal cell capacity in Ah (over-capacity warning)")
-    pa.add_argument("--seed", type=int, default=_seed_default())
 
     ps = sub.add_parser("synth", help="generate synthetic charging logs")
     ps.add_argument("--out", default="synth_out")
@@ -172,7 +168,7 @@ def _analyze_input(path, args, out, config) -> bool:
     unassessable = []
     for curve in curves:
         tag = f"{stem}_cycle{curve.cycle}"
-        write_qv_csv(curve, out / f"{tag}_qv.csv")
+        write_csv(out / f"{tag}_qv.csv", ["voltage_v", "charge_ah"], curve.v, curve.q)
         try:
             model, post, report = analyze_curve(
                 curve,
@@ -180,17 +176,13 @@ def _analyze_input(path, args, out, config) -> bool:
                 level=args.level,
                 threshold_v=args.threshold_v,
                 min_prominence_frac=args.prominence,
-                significance=args.significance,
             )
         except GridDoesNotReachThreshold as exc:
             unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
             continue
 
-        with open(out / f"{tag}_dqdv_gp.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["voltage_v", "mean", "lower", "upper"])
-            for row in zip(post.grid, post.mean, post.lower, post.upper):
-                w.writerow([repr(float(x)) for x in row])
+        write_csv(out / f"{tag}_dqdv_gp.csv", ["voltage_v", "mean", "lower", "upper"],
+                  post.grid, post.mean, post.lower, post.upper)
 
         if args.baseline:
             cfg = baseline.SgConfig(
@@ -198,11 +190,8 @@ def _analyze_input(path, args, out, config) -> bool:
                 resample_n=args.grid_n,
             )
             grid, dqdv = baseline.fd_dqdv(curve, cfg)
-            with open(out / f"{tag}_dqdv_sg.csv", "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["voltage_v", "mean", "method"])
-                for vv, dd in zip(grid, dqdv):
-                    w.writerow([repr(float(vv)), repr(float(dd)), "sg_fd"])
+            write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
+                      grid, dqdv, ["sg_fd"] * len(grid))
 
         cycle_reports.append(report.to_dict())
 
@@ -222,11 +211,8 @@ def _analyze_input(path, args, out, config) -> bool:
                 series, skip_cycles=args.skip_cycles
             ),
         }
-        with open(out / f"{stem}_throughput.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cycle", "normalized_throughput"])
-            for c, nt in zip(series.cycles, series.normalized):
-                w.writerow([int(c), repr(float(nt))])
+        write_csv(out / f"{stem}_throughput.csv", ["cycle", "normalized_throughput"],
+                  series.cycles, series.normalized)
 
     _write_json(out / f"{stem}_report.json", doc)
     return bool(unassessable)
@@ -259,11 +245,7 @@ def cmd_bench(args) -> int:
     ]
     fields = ["seed", "gp_rmse", "sg_rmse", "v_peak_err", "coverage",
               "length_scale", "noise_std", "alpha"]
-    with open(out / "bench.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for r in rows:
-            w.writerow({k: r[k] for k in fields})
+    write_csv(out / "bench.csv", fields, *([r[k] for r in rows] for k in fields))
 
     gp_wins = sum(r["gp_rmse"] < r["sg_rmse"] for r in rows)
     summary = {

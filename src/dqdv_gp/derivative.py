@@ -74,7 +74,7 @@ def derivative_posterior(model: FittedGP, grid, level: float = 0.95) -> Derivati
 
     s = model.train.y_std
     a = _cross_block(model, grid_c)
-    mean = s * (a @ model.alpha)
+    mean = s * (a @ model.weights)
 
     v = solve_triangular(model.chol, a.T, lower=True)
     prior_var = model.hp_internal.signal_std**2 / model.hp.length_scale**2

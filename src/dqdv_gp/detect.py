@@ -101,7 +101,8 @@ def find_peaks(
 
     The prominence floor is ``min_prominence_frac`` times the peak-to-peak
     range of the mean; locations are refined by quadratic interpolation.
-    Endpoints are never candidates.
+    Endpoints are never candidates: scipy only returns a sample whose two
+    direct neighbours are both lower.
     """
     mean = post.mean
     if len(mean) < 5:
@@ -115,8 +116,6 @@ def find_peaks(
     z = norm.ppf(0.5 + post.level / 2.0)
     out = []
     for n, idx in enumerate(idxs):
-        if idx <= 0 or idx >= len(mean) - 1:
-            continue
         v_peak, magnitude = _refine_quadratic(post.grid, mean, idx)
         if magnitude <= 0:
             continue
@@ -144,7 +143,6 @@ def classify(
     post: DerivativePosterior,
     threshold_v: float = THRESHOLD_V_DEFAULT,
     min_prominence_frac: float = MIN_PROMINENCE_FRAC_DEFAULT,
-    significance: str = "band-separated",
     cycle: int = 0,
     *,
     hyperparams: Hyperparams,
@@ -152,13 +150,13 @@ def classify(
     """Classify one cycle by the above-threshold differential-peak signature.
 
     ``hyperparams`` are those of the fit behind ``post``; the report records
-    them.  Verdict is Plating iff some candidate sits above ``threshold_v`` and, in
-    the default band-separated mode, is resolved beyond its credible band.
-    Raises GridDoesNotReachThreshold when the grid tops out at or below the
-    threshold (the cycle carries no evidence either way).
+    them.  Verdict is Plating iff some candidate sits above ``threshold_v``
+    and is resolved beyond its credible band: the lower bound at the peak
+    exceeds the upper bound at the flanking minimum on its higher-voltage
+    side (or at the grid end).  Candidates above the threshold are reported
+    either way.  Raises GridDoesNotReachThreshold when the grid tops out at
+    or below the threshold (the cycle carries no evidence either way).
     """
-    if significance not in ("band-separated", "mean-only"):
-        raise ValueError(f"unknown significance mode {significance!r}")
     if float(post.grid[-1]) <= threshold_v:
         raise GridDoesNotReachThreshold(
             f"grid ends at {float(post.grid[-1]):.3f} V <= threshold {threshold_v} V"
@@ -169,9 +167,6 @@ def classify(
 
     any_significant = False
     for p in above:
-        if significance == "mean-only":
-            any_significant = True
-            break
         idx = int(np.argmin(np.abs(post.grid - p.v_peak)))
         if _band_separated(post, idx):
             any_significant = True

@@ -29,6 +29,9 @@ _PENALTY = 1e25
 
 _STD_FLOOR = 1e-12
 
+# L-BFGS-B iteration budget of each ascent
+MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -73,14 +76,15 @@ class FittedGP:
 
     The factorization lives in standardized units: chol is the lower factor
     of K(X,X) + (sigma_n^2 + jitter) I built from ``hp_internal`` over
-    centered inputs, and alpha solves it against the standardized targets.
+    centered inputs, and weights = Kn^-1 y solves it against the
+    standardized targets.  ``hp.alpha`` is the RQ shape.
     Immutable and safe to share across threads.
     """
 
     hp: Hyperparams
     train: TrainingSet
     chol: np.ndarray
-    alpha: np.ndarray
+    weights: np.ndarray
     lml: float
 
     @property
@@ -181,7 +185,7 @@ def _condition(train: TrainingSet, hp: Hyperparams) -> FittedGP:
     hp_i = _internal_hp(train, hp)
     xs_c = train.xs - train.x_mean
     chol, weights, lml = _factor(train, hp_i, kernel_matrix(xs_c, xs_c, hp_i, "VV"))
-    return FittedGP(hp=hp, train=train, chol=chol, alpha=weights, lml=lml)
+    return FittedGP(hp=hp, train=train, chol=chol, weights=weights, lml=lml)
 
 
 def default_inits(train: TrainingSet) -> list[Hyperparams]:
@@ -192,7 +196,7 @@ def default_inits(train: TrainingSet) -> list[Hyperparams]:
     return [Hyperparams(f * span, s, 0.01 * s) for f in (0.02, 0.05, 0.10, 0.20, 0.40)]
 
 
-def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
+def fit(train: TrainingSet, init=None) -> FittedGP:
     """Maximize the LML with L-BFGS-B in log-hyperparameter space.
 
     Evaluates the LML at every initialization and ascends from the best one.
@@ -207,8 +211,6 @@ def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
     inits = list(init) if init is not None else default_inits(train)
     if not inits:
         raise ValueError("at least one initialization is required")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     span = float(train.xs[-1] - train.xs[0]) or 1.0
     s = train.y_std
     bounds = [
@@ -248,7 +250,7 @@ def fit(train: TrainingSet, init=None, budget: int = 200) -> FittedGP:
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": budget, "gtol": 1e-6, "ftol": 1e-10},
+            options={"maxiter": MAX_ITER, "gtol": 1e-6, "ftol": 1e-10},
         )
         if res.fun < best[0]:
             best = (res.fun, res.x)
@@ -267,5 +269,5 @@ def posterior_mean(model: FittedGP, grid):
     """Posterior mean of Q at the given voltages, in natural units."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     ks = kernel_matrix(grid - model.train.x_mean, model.xs_centered, model.hp_internal, "VV")
-    return model.train.y_std * (ks @ model.alpha) + model.train.y_mean
+    return model.train.y_std * (ks @ model.weights) + model.train.y_mean
 

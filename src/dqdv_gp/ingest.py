@@ -2,8 +2,8 @@
 counting, and Q(V) cleaning.
 
 Column contract: named columns ``time_s, current_a, voltage_v`` with an
-optional ``cycle`` column.  Gzip-compressed files are accepted by
-extension.
+optional ``cycle`` column, comma-delimited.  Gzip-compressed files are
+accepted by extension.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import gzip
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import isotonic_regression
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "CsvSpec",
     "ChargeLog",
     "CCSegment",
     "QVCurve",
@@ -35,7 +34,7 @@ __all__ = [
     "extract_cc_charge",
     "coulomb_count",
     "clean_qv",
-    "write_qv_csv",
+    "write_csv",
 ]
 
 V_MIN_DEFAULT = 2.75
@@ -45,25 +44,22 @@ CC_TOL_DEFAULT = 0.02
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class CsvSpec:
-    time_col: str = "time_s"
-    current_col: str = "current_a"
-    voltage_col: str = "voltage_v"
-    cycle_col: str = "cycle"
-    delimiter: str = ","
+TIME_COL = "time_s"
+CURRENT_COL = "current_a"
+VOLTAGE_COL = "voltage_v"
+CYCLE_COL = "cycle"
+DELIMITER = ","
 
 
 @dataclass(frozen=True)
 class ChargeLog:
     """Time-stamped current/voltage samples, optionally tagged with a cycle
-    index; metadata carries free-form condition labels."""
+    index."""
 
     t: np.ndarray
     i: np.ndarray
     v: np.ndarray
     cycle: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
     rejected_rows: tuple = ()
 
     def __post_init__(self):
@@ -119,7 +115,7 @@ def _open_text(source, mode="rt"):
     return open(source, mode, encoding="utf-8")
 
 
-def parse_log(source, spec: CsvSpec = CsvSpec()) -> ChargeLog:
+def parse_log(source) -> ChargeLog:
     """Parse a charging-log CSV into a validated ChargeLog.
 
     Rows with non-finite or unparseable fields are skipped and reported in
@@ -127,20 +123,20 @@ def parse_log(source, spec: CsvSpec = CsvSpec()) -> ChargeLog:
     NonMonotonicTime (first offending row), or EmptyLog.
     """
     with _open_text(source) as fh:
-        reader = csv.reader(fh, delimiter=spec.delimiter)
+        reader = csv.reader(fh, delimiter=DELIMITER)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyLog("file has no header row")
         header = [h.strip() for h in header]
-        required = [spec.time_col, spec.current_col, spec.voltage_col]
+        required = [TIME_COL, CURRENT_COL, VOLTAGE_COL]
         missing = [c for c in required if c not in header]
         if missing:
             raise MalformedHeader(f"missing required columns: {missing}")
-        it = header.index(spec.time_col)
-        ii = header.index(spec.current_col)
-        iv = header.index(spec.voltage_col)
-        ic = header.index(spec.cycle_col) if spec.cycle_col in header else None
+        it = header.index(TIME_COL)
+        ii = header.index(CURRENT_COL)
+        iv = header.index(VOLTAGE_COL)
+        ic = header.index(CYCLE_COL) if CYCLE_COL in header else None
 
         t, i_, v, cyc, rejected = [], [], [], [], []
         last_t = {}
@@ -177,24 +173,31 @@ def parse_log(source, spec: CsvSpec = CsvSpec()) -> ChargeLog:
     )
 
 
-def write_log(log: ChargeLog, dest, spec: CsvSpec = CsvSpec()):
-    """Write a ChargeLog back out in the standard CSV schema."""
+def write_csv(dest, header, *columns):
+    """Write equal-length columns under ``header`` to a path or a text file.
+
+    Floats are written as ``repr(float(x))``, the shortest string that reads
+    back to the same value; integers and strings as they are.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
     own = not hasattr(dest, "write")
     fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
-        writer = csv.writer(fh, delimiter=spec.delimiter)
-        cols = [spec.time_col, spec.current_col, spec.voltage_col]
-        if log.cycle is not None:
-            cols.append(spec.cycle_col)
-        writer.writerow(cols)
-        for idx in range(len(log)):
-            row = [repr(float(log.t[idx])), repr(float(log.i[idx])), repr(float(log.v[idx]))]
-            if log.cycle is not None:
-                row.append(str(int(log.cycle[idx])))
-            writer.writerow(row)
+        writer = csv.writer(fh, delimiter=DELIMITER)
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if own:
             fh.close()
+
+
+def write_log(log: ChargeLog, dest):
+    """Write a ChargeLog back out in the standard CSV schema."""
+    if log.cycle is None:
+        write_csv(dest, [TIME_COL, CURRENT_COL, VOLTAGE_COL], log.t, log.i, log.v)
+    else:
+        write_csv(dest, [TIME_COL, CURRENT_COL, VOLTAGE_COL, CYCLE_COL],
+                  log.t, log.i, log.v, log.cycle)
 
 
 MIN_SEGMENT_SAMPLES = 10
@@ -213,11 +216,8 @@ def extract_cc_charge(log: ChargeLog, tol: float = CC_TOL_DEFAULT) -> list[CCSeg
 
     # candidate runs: consecutive I > 0 within one cycle label
     positive = log.i > 0
-    boundaries = [0]
-    for idx in range(1, len(log)):
-        if positive[idx] != positive[idx - 1] or cyc[idx] != cyc[idx - 1]:
-            boundaries.append(idx)
-    boundaries.append(len(log))
+    change = (positive[1:] != positive[:-1]) | (cyc[1:] != cyc[:-1])
+    boundaries = np.concatenate(([0], np.flatnonzero(change) + 1, [len(log)]))
 
     segments = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -225,16 +225,12 @@ def extract_cc_charge(log: ChargeLog, tol: float = CC_TOL_DEFAULT) -> list[CCSeg
             continue
         med = float(np.median(log.i[a:b]))
         ok = np.abs(log.i[a:b] - med) <= tol * med
-        # maximal sub-runs of in-tolerance samples
-        start = None
-        for off, flag in enumerate(list(ok) + [False]):
-            if flag and start is None:
-                start = off
-            elif not flag and start is not None:
-                lo, hi = a + start, a + off
-                if hi - lo >= MIN_SEGMENT_SAMPLES:
-                    segments.append((lo, hi))
-                start = None
+        # maximal sub-runs of in-tolerance samples: the edges of the padded
+        # mask alternate between the start and the (exclusive) end of a run
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], ok, [False]))))
+        for lo, hi in zip(a + edges[0::2], a + edges[1::2]):
+            if hi - lo >= MIN_SEGMENT_SAMPLES:
+                segments.append((int(lo), int(hi)))
 
     if not segments:
         raise NoChargeSegments("no constant-current charge run found")
@@ -320,17 +316,3 @@ def clean_qv(
         v=v, q=q, cycle=curve.cycle, start=curve.start, end=curve.end,
         over_capacity=curve.over_capacity,
     )
-
-
-def write_qv_csv(curve: QVCurve, dest):
-    """Export a cleaned curve as ``voltage_v, charge_ah``."""
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["voltage_v", "charge_ah"])
-        for vv, qq in zip(curve.v, curve.q):
-            writer.writerow([repr(float(vv)), repr(float(qq))])
-    finally:
-        if own:
-            fh.close()

@@ -3,6 +3,8 @@ shared by the CLI and the benchmark harness."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import baseline, detect, ingest, synth
@@ -10,12 +12,7 @@ from .derivative import DEFAULT_GRID_N, derivative_posterior
 from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
 
-__all__ = ["fit_curve", "analyze_curve", "log_to_curves", "paired_trial"]
-
-
-def fit_curve(curve: QVCurve):
-    """Train a GP on a cleaned Q(V) curve."""
-    return fit(TrainingSet(xs=curve.v, ys=curve.q))
+__all__ = ["analyze_curve", "log_to_curves", "paired_trial"]
 
 
 def analyze_curve(
@@ -24,20 +21,18 @@ def analyze_curve(
     level: float = 0.95,
     threshold_v: float = detect.THRESHOLD_V_DEFAULT,
     min_prominence_frac: float = detect.MIN_PROMINENCE_FRAC_DEFAULT,
-    significance: str = "band-separated",
 ):
     """Fit, differentiate, and classify one cycle.
 
     Returns (model, posterior, report); classification errors propagate.
     """
-    model = fit_curve(curve)
+    model = fit(TrainingSet(xs=curve.v, ys=curve.q))
     grid = np.linspace(curve.v[0], curve.v[-1], grid_n)
     post = derivative_posterior(model, grid, level)
     report = detect.classify(
         post,
         threshold_v=threshold_v,
         min_prominence_frac=min_prominence_frac,
-        significance=significance,
         cycle=curve.cycle,
         hyperparams=model.hp,
     )
@@ -85,7 +80,7 @@ def paired_trial(
     """
     if spec is None:
         spec = synth.plating_spec()
-    spec = _reseed(spec, seed)
+    spec = replace(spec, seed=seed)
     sg_cfg = sg_cfg or baseline.SgConfig(resample_n=grid_n)
 
     log = synth.generate_cycle(spec, 1)
@@ -124,9 +119,3 @@ def paired_trial(
         "noise_std": model.hp.noise_std,
         "alpha": model.hp.alpha,
     }
-
-
-def _reseed(spec, seed):
-    d = spec.to_dict()
-    d["seed"] = seed
-    return synth.SynthSpec.from_dict(d)

@@ -230,7 +230,6 @@ def generate_cycle(spec: SynthSpec, cycle: int) -> ChargeLog:
         i=np.full(spec.n_samples, current),
         v=v,
         cycle=np.full(spec.n_samples, cycle, dtype=int),
-        metadata={"capacity_ah": spec.capacity},
     )
 
 
@@ -267,5 +266,4 @@ def generate_log(spec: SynthSpec) -> ChargeLog:
         i=np.concatenate(i_parts),
         v=np.concatenate(v_parts),
         cycle=np.concatenate(c_parts),
-        metadata={"capacity_ah": spec.capacity},
     )

@@ -132,6 +132,24 @@ def test_analyze_determinism(tmp_path):
     assert a == b
 
 
+def test_analyze_report_ignores_seed_env(tmp_path, monkeypatch):
+    # analyze draws no random number, so the seed must not reach its report
+    monkeypatch.delenv("DQDV_GP_SEED", raising=False)
+    log = _run_synth(tmp_path, "--n-samples", "100")
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["analyze", str(log), "--out", str(out1)]) == 0
+    monkeypatch.setenv("DQDV_GP_SEED", "5")
+    assert main(["analyze", str(log), "--out", str(out2)]) == 0
+    a = (out1 / "log_report.json").read_bytes()
+    assert a == (out2 / "log_report.json").read_bytes()
+    # every analyze flag but --out, plus the subcommand
+    assert set(json.loads(a)["config"]) == {
+        "command", "inputs", "vmin", "vmax", "max_points", "cc_tol", "grid_n",
+        "level", "threshold_v", "prominence", "sg_window", "sg_polyorder",
+        "baseline", "skip_cycles", "capacity",
+    }
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DQDV_GP_SEED", "77")
     out = tmp_path / "synth"

@@ -96,13 +96,6 @@ class TestClassify:
         # the candidate is still reported for inspection
         assert len(report.peaks) == 1
 
-    def test_mean_only_mode_ignores_bands(self):
-        mean = 0.02 + _gauss(4.08, 0.03, 0.01)
-        report = classify(
-            _post(GRID, mean, sd=0.05), significance="mean-only", hyperparams=HP
-        )
-        assert report.verdict == "Plating"
-
     def test_grid_below_threshold_raises(self):
         grid = np.linspace(2.8, 3.95, 200)
         mean = 0.02 + np.exp(-0.5 * ((grid - 3.5) / 0.05) ** 2) * 0.1
@@ -114,12 +107,6 @@ class TestClassify:
         assert classify(_post(GRID, mean, 1e-4), hyperparams=HP).verdict == "NoPlating"
         report = classify(_post(GRID, mean, 1e-4), threshold_v=3.8, hyperparams=HP)
         assert report.verdict == "Plating"
-
-    def test_unknown_significance_mode(self):
-        with pytest.raises(ValueError, match="significance"):
-            classify(
-                _post(GRID, np.zeros_like(GRID), 1e-4), significance="bayes", hyperparams=HP
-            )
 
     def test_report_json_schema(self):
         mean = 0.02 + _gauss(4.08, 0.03, 0.08)

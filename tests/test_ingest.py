@@ -166,6 +166,79 @@ class TestExtractCcCharge:
         assert [s.cycle for s in segs] == [1, 2]
 
 
+def _reference_segments(log, tol):
+    """(start, end, cycle) of each CC run, found by the per-sample loops that
+    ``extract_cc_charge`` replaced with array operations."""
+    if len(log) == 0:
+        raise NoChargeSegments("empty log")
+    cyc = log.cycle if log.cycle is not None else np.zeros(len(log), dtype=int)
+    positive = log.i > 0
+    boundaries = [0]
+    for idx in range(1, len(log)):
+        if positive[idx] != positive[idx - 1] or cyc[idx] != cyc[idx - 1]:
+            boundaries.append(idx)
+    boundaries.append(len(log))
+
+    segments = []
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
+        if not positive[a]:
+            continue
+        med = float(np.median(log.i[a:b]))
+        ok = np.abs(log.i[a:b] - med) <= tol * med
+        start = None
+        for off, flag in enumerate(list(ok) + [False]):
+            if flag and start is None:
+                start = off
+            elif not flag and start is not None:
+                lo, hi = a + start, a + off
+                if hi - lo >= 10:
+                    segments.append((lo, hi))
+                start = None
+    if not segments:
+        raise NoChargeSegments("no constant-current charge run found")
+    return [
+        (lo, hi, int(cyc[lo]) if log.cycle is not None else ordinal)
+        for ordinal, (lo, hi) in enumerate(segments, start=1)
+    ]
+
+
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([-0.1, 0.0, 0.044, 0.045, 0.0455, 0.05, 0.1]),
+            st.integers(1, 25),
+            st.integers(0, 2),  # cycle-label step at the start of the run
+        ),
+        max_size=8,
+    ),
+    jitter=st.sampled_from([0.0, 0.01, 0.05]),
+    tol=st.sampled_from([0.0, 0.02, 0.5]) | st.floats(0.0, 1.0),
+    with_cycle=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_extract_cc_charge_matches_loop_reference(runs, jitter, tol, with_cycle, seed):
+    rng = np.random.default_rng(seed)
+    i = np.concatenate([np.full(n, value) for value, n, _ in runs] or [np.zeros(0)])
+    i = i * (1.0 + rng.uniform(-jitter, jitter, len(i)))
+    cycle = np.cumsum(np.concatenate(
+        [np.r_[step, np.zeros(n - 1, dtype=int)] for _, n, step in runs] or [np.zeros(0)]
+    )).astype(int)
+    n = len(i)
+    log = ChargeLog(t=np.arange(float(n)), i=i, v=np.linspace(3.0, 4.1, n),
+                    cycle=cycle if with_cycle else None)
+    try:
+        expected = _reference_segments(log, tol)
+    except NoChargeSegments:
+        with pytest.raises(NoChargeSegments):
+            extract_cc_charge(log, tol=tol)
+        return
+    got = extract_cc_charge(log, tol=tol)
+    assert [(s.start, s.end, s.cycle) for s in got] == expected
+    for s in got:
+        np.testing.assert_array_equal(s.i, log.i[s.start:s.end])
+
+
 class TestCoulombCount:
     def test_constant_current_one_hour(self):
         seg = CCSegment(
