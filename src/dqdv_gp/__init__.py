@@ -24,7 +24,7 @@ from .ingest import (
     coulomb_count,
     clean_qv,
 )
-from .detect import PeakCandidate, PlatingReport, find_peaks, classify, confidence_metric
+from .detect import PeakCandidate, PlatingReport, find_peaks, classify
 from .metrics import ThroughputSeries, throughput_series, degradation_rate, concordance
 from .baseline import SgConfig, sg_smooth, fd_dqdv
 from .synth import (

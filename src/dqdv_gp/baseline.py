@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import savgol_filter
 
+from .derivative import DEFAULT_GRID_N
 from .errors import WindowTooLarge
 from .ingest import QVCurve
 
@@ -18,7 +19,7 @@ __all__ = ["SgConfig", "sg_smooth", "fd_dqdv"]
 class SgConfig:
     window: int = 11
     polyorder: int = 2
-    resample_n: int = 400  # mirrors the GP analysis grid
+    resample_n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         if self.window < 5 or self.window % 2 == 0:

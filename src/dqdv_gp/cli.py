@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, detect, metrics, synth
-from .derivative import DEFAULT_GRID_N
+from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL
 from .errors import DqdvGpError, GridDoesNotReachThreshold
 from .ingest import (
     CC_TOL_DEFAULT,
@@ -63,7 +63,7 @@ def _add_ingest_flags(p):
 
 def _add_analysis_flags(p):
     p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=DEFAULT_LEVEL)
     p.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
     p.add_argument("--prominence", type=float, default=detect.MIN_PROMINENCE_FRAC_DEFAULT,
                    help="minimum peak prominence as a fraction of the mean's range")
@@ -193,7 +193,7 @@ def _analyze_input(path, args, out, config) -> bool:
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 
-        cycle_reports.append(report.to_dict())
+        cycle_reports.append({**report.to_dict(), "hyperparams": model.hp.to_dict()})
 
     doc = {
         "config": config,

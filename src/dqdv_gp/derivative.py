@@ -4,6 +4,10 @@ The derivative of a GP is again a GP, jointly Gaussian with the values, so
 the dQ/dV mean and covariance follow from the cross-covariance blocks of
 the rational-quadratic kernel with no numerical differencing.  The kernel
 gives f' the prior variance sigma_f^2 / l^2 for every alpha.
+
+This module owns the credible-band rule: ``derivative_posterior`` sets the
+band half-width z * sqrt(var), z the two-sided normal quantile at the
+credible level, and detection reads it from the posterior.
 """
 
 from __future__ import annotations
@@ -26,20 +30,22 @@ __all__ = [
 ]
 
 DEFAULT_GRID_N = 400
+DEFAULT_LEVEL = 0.95
 
 
 @dataclass(frozen=True)
 class DerivativePosterior:
     """Pointwise dQ/dV posterior on a voltage grid.
 
-    lower/upper are the symmetric credible band at `level`,
-    mean -/+ z * sqrt(var) with z the two-sided normal quantile.
+    halfwidth is the credible-band half-width at `level`, z * sqrt(var) with
+    z the two-sided normal quantile; lower/upper are mean -/+ halfwidth.
     """
 
     grid: np.ndarray
     mean: np.ndarray
     var: np.ndarray
     level: float
+    halfwidth: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -59,7 +65,9 @@ def _cross_block(model: FittedGP, grid_c):
     return kernel_matrix(model.xs_centered, grid_c, model.hp_internal, "VD").T
 
 
-def derivative_posterior(model: FittedGP, grid, level: float = 0.95) -> DerivativePosterior:
+def derivative_posterior(
+    model: FittedGP, grid, level: float = DEFAULT_LEVEL
+) -> DerivativePosterior:
     """Posterior mean, pointwise variance, and credible band of dQ/dV.
 
     mean = K'(X*, X) Kn^-1 Y via the stored weight vector; variance from the
@@ -80,10 +88,10 @@ def derivative_posterior(model: FittedGP, grid, level: float = 0.95) -> Derivati
     prior_var = model.hp_internal.signal_std**2 / model.hp.length_scale**2
     var = _clip_variance(s**2 * (prior_var - np.sum(v * v, axis=0)))
 
-    z = norm.ppf(0.5 + level / 2.0)
-    half = z * np.sqrt(var)
+    half = norm.ppf(0.5 + level / 2.0) * np.sqrt(var)
     return DerivativePosterior(
-        grid=grid, mean=mean, var=var, level=level, lower=mean - half, upper=mean + half
+        grid=grid, mean=mean, var=var, level=level, halfwidth=half,
+        lower=mean - half, upper=mean + half,
     )
 
 

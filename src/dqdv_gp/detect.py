@@ -7,18 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
-from scipy.stats import norm
 
 from .derivative import DerivativePosterior
 from .errors import GridDoesNotReachThreshold
-from .kernel import Hyperparams
 
 __all__ = [
     "PeakCandidate",
     "PlatingReport",
     "find_peaks",
     "classify",
-    "confidence_metric",
     "THRESHOLD_V_DEFAULT",
     "MIN_PROMINENCE_FRAC_DEFAULT",
 ]
@@ -32,16 +29,25 @@ VERDICT_NO_PLATING = "NoPlating"
 
 @dataclass(frozen=True)
 class PeakCandidate:
-    """A significant interior local maximum of the dQ/dV posterior mean."""
+    """A significant interior local maximum of the dQ/dV posterior mean.
+
+    ``index`` is the grid sample at which the maximum was found; the band
+    half-width is read there and the band-separation test runs there.  The
+    report leaves it out.
+    """
 
     v_peak: float
     magnitude: float
     band_halfwidth: float
     prominence: float
+    index: int
 
     @property
     def confidence_pct(self) -> float:
-        return confidence_metric(self)
+        """Credible-band half-width at the peak as a percentage of its magnitude."""
+        if self.magnitude <= 0:
+            raise ValueError("peak magnitude must be positive")
+        return 100.0 * self.band_halfwidth / self.magnitude
 
     def to_dict(self):
         return {
@@ -55,13 +61,13 @@ class PeakCandidate:
 
 @dataclass(frozen=True)
 class PlatingReport:
-    """Per-cycle classification outcome."""
+    """Per-cycle classification outcome, decided from the dQ/dV posterior
+    alone; the fit behind it is recorded by the caller."""
 
     cycle: int
     verdict: str
     peaks: tuple
     threshold_v: float
-    hyperparams: Hyperparams
     grid_vmin: float
     grid_vmax: float
     grid_n: int
@@ -72,7 +78,6 @@ class PlatingReport:
             "verdict": self.verdict,
             "threshold_v": float(self.threshold_v),
             "peaks": [p.to_dict() for p in self.peaks],
-            "hyperparams": self.hyperparams.to_dict(),
             "grid": {
                 "vmin": float(self.grid_vmin),
                 "vmax": float(self.grid_vmax),
@@ -102,7 +107,8 @@ def find_peaks(
     The prominence floor is ``min_prominence_frac`` times the peak-to-peak
     range of the mean; locations are refined by quadratic interpolation.
     Endpoints are never candidates: scipy only returns a sample whose two
-    direct neighbours are both lower.
+    direct neighbours are both lower.  Each candidate's band half-width is
+    the posterior's own, read at the sample where scipy found the maximum.
     """
     mean = post.mean
     if len(mean) < 5:
@@ -113,7 +119,6 @@ def find_peaks(
     floor = min_prominence_frac * rng
     idxs, props = _scipy_find_peaks(mean, prominence=floor)
 
-    z = norm.ppf(0.5 + post.level / 2.0)
     out = []
     for n, idx in enumerate(idxs):
         v_peak, magnitude = _refine_quadratic(post.grid, mean, idx)
@@ -123,8 +128,9 @@ def find_peaks(
             PeakCandidate(
                 v_peak=v_peak,
                 magnitude=magnitude,
-                band_halfwidth=float(z * np.sqrt(post.var[idx])),
+                band_halfwidth=float(post.halfwidth[idx]),
                 prominence=float(props["prominences"][n]),
+                index=int(idx),
             )
         )
     out.sort(key=lambda p: p.v_peak)
@@ -144,17 +150,15 @@ def classify(
     threshold_v: float = THRESHOLD_V_DEFAULT,
     min_prominence_frac: float = MIN_PROMINENCE_FRAC_DEFAULT,
     cycle: int = 0,
-    *,
-    hyperparams: Hyperparams,
 ) -> PlatingReport:
     """Classify one cycle by the above-threshold differential-peak signature.
 
-    ``hyperparams`` are those of the fit behind ``post``; the report records
-    them.  Verdict is Plating iff some candidate sits above ``threshold_v``
-    and is resolved beyond its credible band: the lower bound at the peak
-    exceeds the upper bound at the flanking minimum on its higher-voltage
-    side (or at the grid end).  Candidates above the threshold are reported
-    either way.  Raises GridDoesNotReachThreshold when the grid tops out at
+    Reads nothing but the posterior.  Verdict is Plating iff some candidate
+    sits above ``threshold_v`` and is resolved beyond its credible band: the
+    lower bound at the candidate's sample (``PeakCandidate.index``) exceeds
+    the upper bound at the flanking minimum on its higher-voltage side (or
+    at the grid end).  Candidates above the threshold are reported either
+    way.  Raises GridDoesNotReachThreshold when the grid tops out at
     or below the threshold (the cycle carries no evidence either way).
     """
     if float(post.grid[-1]) <= threshold_v:
@@ -165,27 +169,14 @@ def classify(
     candidates = find_peaks(post, min_prominence_frac)
     above = [p for p in candidates if p.v_peak > threshold_v]
 
-    any_significant = False
-    for p in above:
-        idx = int(np.argmin(np.abs(post.grid - p.v_peak)))
-        if _band_separated(post, idx):
-            any_significant = True
-            break
+    any_significant = any(_band_separated(post, p.index) for p in above)
 
     return PlatingReport(
         cycle=cycle,
         verdict=VERDICT_PLATING if any_significant else VERDICT_NO_PLATING,
         peaks=tuple(above),
         threshold_v=threshold_v,
-        hyperparams=hyperparams,
         grid_vmin=float(post.grid[0]),
         grid_vmax=float(post.grid[-1]),
         grid_n=len(post.grid),
     )
-
-
-def confidence_metric(peak: PeakCandidate) -> float:
-    """Credible-band half-width at the peak as a percentage of its magnitude."""
-    if peak.magnitude <= 0:
-        raise ValueError("peak magnitude must be positive")
-    return 100.0 * peak.band_halfwidth / peak.magnitude

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-import os
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +151,7 @@ def parse_log(source) -> ChargeLog:
             except (ValueError, IndexError):
                 rejected.append(row_num)
                 continue
-            if not (np.isfinite(tv) and np.isfinite(iv_) and np.isfinite(vv)):
+            if not (math.isfinite(tv) and math.isfinite(iv_) and math.isfinite(vv)):
                 rejected.append(row_num)
                 continue
             if cv in last_t and tv <= last_t[cv]:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import baseline, detect, ingest, synth
-from .derivative import DEFAULT_GRID_N, derivative_posterior
+from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, derivative_posterior
 from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
 
@@ -18,13 +18,14 @@ __all__ = ["analyze_curve", "log_to_curves", "paired_trial"]
 def analyze_curve(
     curve: QVCurve,
     grid_n: int = DEFAULT_GRID_N,
-    level: float = 0.95,
+    level: float = DEFAULT_LEVEL,
     threshold_v: float = detect.THRESHOLD_V_DEFAULT,
     min_prominence_frac: float = detect.MIN_PROMINENCE_FRAC_DEFAULT,
 ):
     """Fit, differentiate, and classify one cycle.
 
     Returns (model, posterior, report); classification errors propagate.
+    The report holds no hyperparameters: ``model.hp`` has them.
     """
     model = fit(TrainingSet(xs=curve.v, ys=curve.q))
     grid = np.linspace(curve.v[0], curve.v[-1], grid_n)
@@ -34,7 +35,6 @@ def analyze_curve(
         threshold_v=threshold_v,
         min_prominence_frac=min_prominence_frac,
         cycle=curve.cycle,
-        hyperparams=model.hp,
     )
     return model, post, report
 
@@ -104,7 +104,7 @@ def paired_trial(
 
     v_peak_err = np.nan
     if spec.plating_bump is not None:
-        cands = [p for p in detect.find_peaks(post) if p.v_peak > 4.0]
+        cands = [p for p in detect.find_peaks(post) if p.v_peak > detect.THRESHOLD_V_DEFAULT]
         if cands:
             best = max(cands, key=lambda p: p.magnitude)
             v_peak_err = abs(best.v_peak - spec.plating_bump.center)

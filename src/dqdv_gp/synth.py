@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .detect import THRESHOLD_V_DEFAULT
 from .errors import InvalidSpec
 from .ingest import ChargeLog, SECONDS_PER_HOUR, V_MAX_DEFAULT, V_MIN_DEFAULT
 
@@ -79,9 +80,10 @@ class SynthSpec:
                 raise InvalidSpec("staging bumps need amplitude >= 0 and width > 0")
         if self.plating_bump is not None:
             b = self.plating_bump
-            if not 4.0 < b.center < hi:
+            if not THRESHOLD_V_DEFAULT < b.center < hi:
                 raise InvalidSpec(
-                    f"plating bump center must be in (4.0, {hi}), got {b.center}"
+                    f"plating bump center must be in ({THRESHOLD_V_DEFAULT}, {hi}), "
+                    f"got {b.center}"
                 )
             if b.amplitude < 0 or b.width <= 0:
                 raise InvalidSpec("plating bump needs amplitude >= 0 and width > 0")

@@ -36,6 +36,8 @@ def test_analyze_end_to_end(tmp_path):
     assert len(doc["input"]["sha256"]) == 64
     assert doc["unassessable"] == []
     (cyc,) = doc["cycles"]
+    assert set(cyc) == {"cycle", "verdict", "threshold_v", "peaks", "hyperparams", "grid"}
+    assert set(cyc["hyperparams"]) == {"length_scale", "signal_std", "noise_std", "alpha"}
     assert cyc["verdict"] == "Plating"
     peak = max(cyc["peaks"], key=lambda p: p["magnitude"])
     assert abs(peak["v_peak"] - 4.08) < 0.02

@@ -5,30 +5,24 @@ import pytest
 from scipy.stats import norm
 
 from dqdv_gp.derivative import DerivativePosterior
-from dqdv_gp.detect import (
-    PeakCandidate,
-    classify,
-    confidence_metric,
-    find_peaks,
-)
+from dqdv_gp.detect import PeakCandidate, classify, find_peaks
 from dqdv_gp.errors import GridDoesNotReachThreshold
-from dqdv_gp.kernel import Hyperparams
 
 
 def _post(grid, mean, sd, level=0.95):
+    """Posterior with the given mean and standard deviation (scalar or per sample)."""
     grid = np.asarray(grid, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    var = np.full_like(mean, float(sd) ** 2)
+    var = np.asarray(sd, dtype=float) ** 2 * np.ones_like(mean)
     z = norm.ppf(0.5 + level / 2.0)
     half = z * np.sqrt(var)
     return DerivativePosterior(
-        grid=grid, mean=mean, var=var, level=level,
+        grid=grid, mean=mean, var=var, level=level, halfwidth=half,
         lower=mean - half, upper=mean + half,
     )
 
 
 GRID = np.linspace(2.8, 4.2, 400)
-HP = Hyperparams(0.05, 0.01, 1e-4, 0.5)
 
 
 def _gauss(center, width, amp):
@@ -78,20 +72,20 @@ class TestFindPeaks:
 class TestClassify:
     def test_plating_verdict_with_resolved_peak(self):
         mean = 0.02 + _gauss(3.5, 0.06, 0.06) + _gauss(4.08, 0.03, 0.08)
-        report = classify(_post(GRID, mean, 1e-4), hyperparams=HP)
+        report = classify(_post(GRID, mean, 1e-4))
         assert report.verdict == "Plating"
         assert any(p.v_peak > 4.0 for p in report.peaks)
 
     def test_no_plating_without_high_voltage_peak(self):
         mean = 0.02 + _gauss(3.45, 0.05, 0.06) + _gauss(3.75, 0.06, 0.07)
-        report = classify(_post(GRID, mean, 1e-4), hyperparams=HP)
+        report = classify(_post(GRID, mean, 1e-4))
         assert report.verdict == "NoPlating"
         assert report.peaks == ()
 
     def test_unresolved_peak_is_not_plating(self):
         # the bump exists in the mean but drowns inside the credible band
         mean = 0.02 + _gauss(4.08, 0.03, 0.01)
-        report = classify(_post(GRID, mean, sd=0.05), hyperparams=HP)
+        report = classify(_post(GRID, mean, sd=0.05))
         assert report.verdict == "NoPlating"
         # the candidate is still reported for inspection
         assert len(report.peaks) == 1
@@ -100,45 +94,61 @@ class TestClassify:
         grid = np.linspace(2.8, 3.95, 200)
         mean = 0.02 + np.exp(-0.5 * ((grid - 3.5) / 0.05) ** 2) * 0.1
         with pytest.raises(GridDoesNotReachThreshold):
-            classify(_post(grid, mean, 1e-4), hyperparams=HP)
+            classify(_post(grid, mean, 1e-4))
 
     def test_threshold_is_configurable(self):
         mean = 0.02 + _gauss(3.9, 0.03, 0.08)
-        assert classify(_post(GRID, mean, 1e-4), hyperparams=HP).verdict == "NoPlating"
-        report = classify(_post(GRID, mean, 1e-4), threshold_v=3.8, hyperparams=HP)
+        assert classify(_post(GRID, mean, 1e-4)).verdict == "NoPlating"
+        report = classify(_post(GRID, mean, 1e-4), threshold_v=3.8)
+        assert report.verdict == "Plating"
+
+    def test_plateau_tested_at_the_sample_find_peaks_found(self):
+        # a two-sample plateau: the quadratic refinement puts the peak half a
+        # step right of the sample scipy reports, which on this grid rounds
+        # nearer the right-hand sample.  Only the reported sample is resolved
+        # beyond its band, so the verdict shows which sample was tested.
+        i = 348
+        mean = np.full_like(GRID, 0.02)
+        mean[i - 2:i + 4] = [0.06, 0.08, 0.1, 0.1, 0.08, 0.06]
+        sd = np.full_like(GRID, 1e-4)
+        sd[i + 1] = 0.05
+        post = _post(GRID, mean, sd)
+        (peak,) = find_peaks(post)
+        assert peak.index == i
+        assert peak.v_peak == pytest.approx(0.5 * (GRID[i] + GRID[i + 1]))
+        assert np.argmin(np.abs(GRID - peak.v_peak)) == i + 1
+        report = classify(post)
+        assert report.peaks == (peak,)
+        assert peak.band_halfwidth == pytest.approx(norm.ppf(0.975) * 1e-4)
         assert report.verdict == "Plating"
 
     def test_report_json_schema(self):
         mean = 0.02 + _gauss(4.08, 0.03, 0.08)
-        doc = classify(_post(GRID, mean, 1e-4), cycle=7, hyperparams=HP).to_dict()
-        assert set(doc) == {"cycle", "verdict", "threshold_v", "peaks", "hyperparams", "grid"}
+        doc = classify(_post(GRID, mean, 1e-4), cycle=7).to_dict()
+        assert set(doc) == {"cycle", "verdict", "threshold_v", "peaks", "grid"}
         assert doc["cycle"] == 7
         assert set(doc["grid"]) == {"vmin", "vmax", "n"}
-        assert set(doc["hyperparams"]) == {
-            "length_scale", "signal_std", "noise_std", "alpha"
-        }
         for p in doc["peaks"]:
             assert set(p) == {
                 "v_peak", "magnitude", "band_halfwidth", "prominence", "confidence_pct"
             }
 
 
+def _peak(magnitude, band_halfwidth):
+    return PeakCandidate(v_peak=4.08, magnitude=magnitude, band_halfwidth=band_halfwidth,
+                         prominence=magnitude, index=368)
+
+
 def test_confidence_metric():
-    peak = PeakCandidate(v_peak=4.08, magnitude=0.1, band_halfwidth=0.005, prominence=0.08)
-    assert confidence_metric(peak) == pytest.approx(5.0)
-    assert peak.confidence_pct == pytest.approx(5.0)
+    assert _peak(0.1, 0.005).confidence_pct == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        confidence_metric(
-            PeakCandidate(v_peak=4.08, magnitude=0.0, band_halfwidth=0.1, prominence=0.0)
-        )
+        _peak(0.0, 0.1).confidence_pct
 
 
 def test_confidence_metric_edge_values():
-    exact = PeakCandidate(v_peak=4.08, magnitude=0.1, band_halfwidth=0.0, prominence=0.1)
-    assert confidence_metric(exact) == 0.0
+    assert _peak(0.1, 0.0).confidence_pct == 0.0
     # the tightness regime quoted for well-resolved plating peaks
-    tight = PeakCandidate(v_peak=4.08, magnitude=0.05, band_halfwidth=1.5e-4, prominence=0.05)
-    assert confidence_metric(tight) == pytest.approx(0.3)
+    assert _peak(0.05, 1.5e-4).confidence_pct == pytest.approx(0.3)
 
 
 def test_confidence_grows_with_injected_noise():

@@ -19,18 +19,24 @@ from dqdv_gp.synth import (
 )
 
 
+def _logistic_spec():
+    """A sigmoidal background step on top of the uniform one, so the
+    finite-width branches of the closed-form truth run."""
+    return plating_spec(background=(LogisticRamp(), LogisticRamp(3.7, 0.08, 0.5)))
+
+
 def test_capacity_normalization():
-    for spec in (plating_spec(), baseline_spec(), SynthSpec()):
+    for spec in (plating_spec(), baseline_spec(), SynthSpec(), _logistic_spec()):
         assert true_q(spec, spec.v_range[1]) == pytest.approx(spec.capacity, rel=1e-12)
         assert true_q(spec, spec.v_range[0]) == 0.0
 
 
 def test_true_dqdv_is_derivative_of_true_q():
-    spec = plating_spec()
     v = np.linspace(2.8, 4.15, 500)
     h = 1e-6
-    fd = (true_q(spec, v + h) - true_q(spec, v - h)) / (2 * h)
-    assert np.max(np.abs(fd - true_dqdv(spec, v))) < 1e-7 * np.max(np.abs(fd))
+    for spec in (plating_spec(), _logistic_spec()):
+        fd = (true_q(spec, v + h) - true_q(spec, v - h)) / (2 * h)
+        assert np.max(np.abs(fd - true_dqdv(spec, v))) < 1e-7 * np.max(np.abs(fd))
 
 
 def test_plating_bump_visible_in_truth():
