@@ -4,10 +4,13 @@ The LML is cross-checked against a dense reimplementation using slogdet
 and a direct solve, with no shared code path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from dqdv_gp import gp_core
+from dqdv_gp import gp_core, synth
 from dqdv_gp.errors import AllStartsFailed, FactorizationFailure
 from dqdv_gp.gp_core import (
     TrainingSet,
@@ -17,6 +20,7 @@ from dqdv_gp.gp_core import (
     posterior_mean,
 )
 from dqdv_gp.kernel import Hyperparams, jitter_for, kernel_matrix
+from dqdv_gp.pipeline import analyze_curve, log_to_curves
 
 
 def _dense_lml(train, hp):
@@ -276,3 +280,58 @@ def test_fit_is_deterministic():
     m2 = fit(train)
     assert m1.hp == m2.hp
     assert m1.lml == m2.lml
+
+
+def _synth_curve(make_spec, seed):
+    # one 300-point cycle, cleaned as the pipeline cleans it
+    spec = replace(make_spec(), seed=seed)
+    log = synth.generate_cycle(spec, 1)
+    return log_to_curves(
+        log, vmin=spec.v_range[0], vmax=spec.v_range[1], capacity_ah=spec.capacity)[0]
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_stops_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatch):
+    # the LML_TOL stop may leave at most 1e-5 nats for a much tighter
+    # L-BFGS-B ascent to gain from the fitted optimum
+    curve = _synth_curve(make_spec, seed)
+    assert len(curve) == 300
+    train = TrainingSet(curve.v, curve.q)
+    ascents = []
+
+    def counted(*args, **kwargs):
+        ascents.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(gp_core, "minimize", counted)
+    hp = fit(train).hp
+    # the stop counts as converged: no fallback ascent from another start
+    assert len(ascents) == 1
+    seen = []
+
+    def neg_lml(log_theta):
+        val, grad = log_marginal_likelihood(train, Hyperparams(*np.exp(log_theta)))
+        seen.append(-val)
+        return -val, -grad
+
+    x0 = np.log([hp.length_scale, hp.signal_std, hp.noise_std, hp.alpha])
+    start = neg_lml(x0)[0]
+    minimize(neg_lml, x0, jac=True, method="L-BFGS-B",
+             options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-9})
+    # the best LML the ascent visited: a line search that fails can hand
+    # back a trial point below its start
+    assert start - min(seen) <= 1e-5
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+def test_fit_does_not_depend_on_the_unit_of_q(make_spec):
+    # Q x 1000 shifts the LML by -n log 1000 and nothing else, so the stop
+    # must land on the same hyperparameters, up to rounding
+    curve = _synth_curve(make_spec, 0)
+    model, _, report = analyze_curve(curve)
+    model_k, _, report_k = analyze_curve(replace(curve, q=1000.0 * curve.q))
+    assert report_k.verdict == report.verdict
+    assert [p.v_peak for p in report_k.peaks] == pytest.approx(
+        [p.v_peak for p in report.peaks], abs=1e-6)
+    assert model_k.lml == pytest.approx(model.lml - len(curve) * np.log(1000.0), abs=2e-5)
