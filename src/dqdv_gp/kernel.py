@@ -125,28 +125,38 @@ def kernel_matrix(xs, xs2, hp: Hyperparams, block: str = "VV"):
     return fn(xs[:, None], xs2[None, :], hp)
 
 
-# log_param_grads builds its results in place, one factor at a time; the
-# comment on each step names what the array then holds.  It runs on every
-# LML evaluation, and the reason is time: written as plain expressions (bit
-# for bit the same results) it raised the median LML call when fitting 16
-# plating cycles of 300 points from 5.07-5.16 ms to 5.54-5.89 ms and cut
-# fits/s by 6-13% (3 alternating runs per side, 2 cores); peak RSS rose by
-# only 1.2-1.5 MB.  The derivative blocks above run once per posterior and
-# showed no difference in time or peak RSS, so they are plain expressions.
-def log_param_grads(xs, hp: Hyperparams):
+# log_param_grads runs on every LML evaluation and builds its results in
+# place, one factor at a time; the comment on each step names what the array
+# then holds.  Written as plain expressions (bit for bit the same results) it
+# raised the median LML call when fitting 16 plating cycles of 300 points
+# from 5.07-5.16 ms to 5.54-5.89 ms (3 alternating runs per side, 2 cores).
+# ``out`` lets a fit pass the same three arrays to every evaluation.  A
+# fresh 300 x 300 float64 array is 720 kB, and its pages are faulted in again
+# on first write: with fresh outputs (and the fresh Gram copy in gp_core) one
+# LML call at n = 300 took 673 minor page faults and 1.43-1.49 ms of system
+# time out of 5.1-5.4 ms; with reused arrays it takes 2 faults and no system
+# time.  The derivative blocks above run once per posterior, so they are
+# plain expressions.
+def log_param_grads(xs, hp: Hyperparams, out=None):
     """Gram matrix over ``xs`` and its derivatives w.r.t. the shape log-parameters.
 
     Returns [K, dK/d log l, dK/d log alpha], with dk/d log l = k d^2 / (l^2 r)
     = 2 alpha k q and dk/d log alpha = k alpha (q - log r), q = (r-1)/r, from
     one pass that computes u = r - 1 and log r = log1p(u) once.  K equals
     kernel_matrix(xs, xs, hp, "VV") bit for bit.  (dK/d log sigma_f = 2K
-    needs no kernel-specific code.)
+    needs no kernel-specific code.)  ``out``, if given, is three float64
+    (n, n) arrays that receive the results in that order, and the returned
+    list holds those arrays; the values are the same bit for bit.
     """
-    u = np.subtract.outer(xs, xs)
+    if out is None:
+        n = len(xs)
+        out = [np.empty((n, n)) for _ in range(3)]
+    kv, u, log_r = out
+    np.subtract.outer(xs, xs, out=u)
     u *= u
     u *= 0.5 / (hp.alpha * hp.length_scale**2)   # r - 1, as _rq_u
-    log_r = np.log1p(u)
-    kv = u + 1.0                    # r
+    np.log1p(u, out=log_r)
+    np.add(u, 1.0, out=kv)          # r
     u /= kv                         # q
     np.multiply(log_r, -hp.alpha, out=kv)
     np.exp(kv, out=kv)

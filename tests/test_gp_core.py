@@ -4,6 +4,8 @@ The LML is cross-checked against a dense reimplementation using slogdet
 and a direct solve, with no shared code path.
 """
 
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -183,9 +185,9 @@ def test_fit_evaluates_through_module_lml(monkeypatch):
     calls = []
     lml = gp_core.log_marginal_likelihood
 
-    def counted(train, hp):
+    def counted(train, hp, *rest):
         calls.append(hp)
-        return lml(train, hp)
+        return lml(train, hp, *rest)
 
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
     train = _toy_train(40, seed=3)
@@ -335,3 +337,83 @@ def test_fit_does_not_depend_on_the_unit_of_q(make_spec):
     assert [p.v_peak for p in report_k.peaks] == pytest.approx(
         [p.v_peak for p in report.peaks], abs=1e-6)
     assert model_k.lml == pytest.approx(model.lml - len(curve) * np.log(1000.0), abs=2e-5)
+
+
+def _scale_cases(train):
+    # alpha at both ends of the fit's bounds with the noise at the jitter
+    # floor (sigma_n^2 = 1e-10 in standardized units), and a fit-like point
+    s = train.y_std
+    h = float(np.diff(train.xs)[0])
+    return [
+        Hyperparams(0.5 * h, s, 1e-5 * s, 1e-2),
+        Hyperparams(0.5 * h, s, 1e-5 * s, 1e3),
+        Hyperparams(0.05, 0.7 * s, 3e-2 * s, 3e-2),
+    ]
+
+
+def test_lml_into_buffers_is_bit_identical():
+    # leftovers in the buffers, NaN or another evaluation's, must not leak
+    # into the value or any gradient component
+    train = _toy_train(300, seed=6)
+    n = len(train)
+    work = np.full((4, n, n), np.nan)
+    for hp in _scale_cases(train) * 2:
+        val, grad = log_marginal_likelihood(train, hp)
+        val_w, grad_w = log_marginal_likelihood(train, hp, work)
+        assert val_w == val, hp
+        assert np.array_equal(grad_w, grad), hp
+
+
+def test_lml_with_warm_buffers_allocates_no_n_by_n_array():
+    train = _toy_train(300, seed=6)
+    n = len(train)
+    work = gp_core._workspace(n)
+    for hp in _scale_cases(train):
+        log_marginal_likelihood(train, hp, work)
+        tracemalloc.start()
+        try:
+            log_marginal_likelihood(train, hp, work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, hp
+
+
+def test_fit_scores_no_point_twice(monkeypatch):
+    # L-BFGS-B's first call repeats the start it ascends from, which fit has
+    # already scored; fit answers it, and any other repeat, without a second
+    # evaluation
+    curve = _synth_curve(synth.plating_spec, 0)
+    train = TrainingSet(curve.v, curve.q)
+    calls = []
+    lml = gp_core.log_marginal_likelihood
+
+    def counted(train, hp, *rest):
+        calls.append(hp)
+        return lml(train, hp, *rest)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
+    fit(train)
+    assert len(calls) > len(default_inits(train))
+    assert len(set(calls)) == len(calls)
+
+
+def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
+    refs = []
+    alive = []
+    workspace, condition = gp_core._workspace, gp_core._condition
+
+    def tracked(n):
+        work = workspace(n)
+        refs.append(weakref.ref(work))
+        return work
+
+    def checked(*args):
+        alive.append(any(ref() is not None for ref in refs))
+        return condition(*args)
+
+    monkeypatch.setattr(gp_core, "_workspace", tracked)
+    monkeypatch.setattr(gp_core, "_condition", checked)
+    fit(_toy_train(40, seed=3))
+    assert len(refs) == 1
+    assert alive == [False]
