@@ -256,8 +256,8 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     An ascent stops after the first iteration that gains at most LML_TOL
     nats.  The other starts are ascended, best first, only while the latest
     ascent fails (no finite LML, or the iteration budget runs out) or ends
-    with a hyperparameter on a bound.  Returns the conditioned model with the
-    highest LML seen (never worse than any start).  The RQ shape alpha is
+    with a hyperparameter on a bound.  Returns the conditioned model at the
+    point with the highest LML evaluated, starts included.  The RQ shape alpha is
     optimized next to l, sigma_f and sigma_n.
     """
     if len(train) < 4:
@@ -278,13 +278,19 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     # (-LML, -grad) of every point scored: L-BFGS-B's first call repeats the
     # start that was just scored, and is answered from here
     scored = {}
+    # the best point scored; L-BFGS-B can end an ascent at a trial point
+    # below the best iterate it visited
+    best_f, best_x = _PENALTY, None
 
     def neg_lml(log_theta):
+        nonlocal best_f, best_x
         if not np.all(np.isfinite(log_theta)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
         key = log_theta.tobytes()
         if key not in scored:
             scored[key] = _neg_lml(train, log_theta, work)
+            if scored[key][0] < best_f:
+                best_f, best_x = scored[key][0], log_theta.copy()
         f, g = scored[key]
         return f, g.copy()
 
@@ -298,7 +304,6 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     if not starts:
         raise AllStartsFailed("every optimization start failed")
 
-    best = starts[0]
     for f0, x0 in starts:
         res = minimize(
             neg_lml,
@@ -311,8 +316,6 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
             # |LML|, and gtol on the projected gradient): the callback stops
             options={"maxiter": MAX_ITER, "gtol": 0.0, "ftol": 0.0},
         )
-        if res.fun < best[0]:
-            best = (res.fun, res.x)
         # status 1 is the iteration budget running out.  Any other status
         # ends at the optimum the ascent can resolve: 99 is the LML_TOL stop
         # (scipy's code for a callback halt), 2 a line search that cannot
@@ -327,7 +330,7 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     # neg_lml holds the buffers through its closure cell; drop them before
     # conditioning allocates its own n x n arrays
     work = None
-    return _condition(train, Hyperparams(*np.exp(best[1])))
+    return _condition(train, Hyperparams(*np.exp(best_x)))
 
 
 def posterior_mean(model: FittedGP, grid):

@@ -417,3 +417,27 @@ def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
     fit(_toy_train(40, seed=3))
     assert len(refs) == 1
     assert alive == [False]
+
+
+@pytest.mark.parametrize("make_spec, seed", [
+    (synth.plating_spec, 0),
+    # an ascent that L-BFGS-B ends after a failed line search (status 2),
+    # and one that the LML_TOL stop ends on a step that lost LML: both
+    # returned a point below the best they had evaluated (2 OpenBLAS threads)
+    (synth.baseline_spec, 7),
+    (synth.baseline_spec, 1),
+])
+def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
+    curve = _synth_curve(make_spec, seed)
+    train = TrainingSet(curve.v, curve.q)
+    values = []
+    lml = gp_core.log_marginal_likelihood
+
+    def recorded(train, hp, *rest):
+        val, grad = lml(train, hp, *rest)
+        values.append(val)
+        return val, grad
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    model = fit(train)
+    assert model.lml >= max(v for v in values if np.isfinite(v))
