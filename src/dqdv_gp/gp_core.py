@@ -122,8 +122,9 @@ def _internal_hp(train, hp):
 # factor and dpotri with Kn^-1.  ``fit`` allocates them once and passes them
 # to every evaluation.  Allocated afresh per call, their pages were faulted
 # in again each time: at n = 300 a call took 673 minor page faults and
-# 1.43-1.49 ms of system time out of 5.1-5.4 ms, against 2 faults, no system
-# time and 3.3-3.4 ms with the arrays reused.
+# 1.2-1.7 ms of system time out of 5.5-6.1 ms, against at most 1 fault, no
+# system time and 3.5-3.6 ms with the arrays reused (300 calls at a fitted
+# optimum, 3 repeats, 2 cores).
 
 
 def _workspace(n):
@@ -257,8 +258,8 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     nats.  The other starts are ascended, best first, only while the latest
     ascent fails (no finite LML, or the iteration budget runs out) or ends
     with a hyperparameter on a bound.  Returns the conditioned model at the
-    point with the highest LML evaluated, starts included.  The RQ shape alpha is
-    optimized next to l, sigma_f and sigma_n.
+    point with the highest LML evaluated, starts included.  The RQ shape
+    alpha is optimized next to l, sigma_f and sigma_n.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
@@ -276,10 +277,10 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     lo, hi = np.array(bounds).T
     work = _workspace(len(train))
     # (-LML, -grad) of every point scored: L-BFGS-B's first call repeats the
-    # start that was just scored, and is answered from here
+    # start it ascends from, which is answered from here
     scored = {}
-    # the best point scored; L-BFGS-B can end an ascent at a trial point
-    # below the best iterate it visited
+    # the best point scored: L-BFGS-B can end an ascent at a point below the
+    # best one it evaluated
     best_f, best_x = _PENALTY, None
 
     def neg_lml(log_theta):
@@ -287,11 +288,12 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
         if not np.all(np.isfinite(log_theta)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
         key = log_theta.tobytes()
-        if key not in scored:
-            scored[key] = _neg_lml(train, log_theta, work)
-            if scored[key][0] < best_f:
-                best_f, best_x = scored[key][0], log_theta.copy()
-        f, g = scored[key]
+        if key in scored:
+            f, g = scored[key]
+        else:
+            f, g = scored[key] = _neg_lml(train, log_theta, work)
+            if f < best_f:
+                best_f, best_x = f, log_theta.copy()
         return f, g.copy()
 
     starts = []

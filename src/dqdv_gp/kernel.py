@@ -129,13 +129,15 @@ def kernel_matrix(xs, xs2, hp: Hyperparams, block: str = "VV"):
 # place, one factor at a time; the comment on each step names what the array
 # then holds.  Written as plain expressions (bit for bit the same results) it
 # raised the median LML call when fitting 16 plating cycles of 300 points
-# from 5.07-5.16 ms to 5.54-5.89 ms (3 alternating runs per side, 2 cores).
+# from 5.07-5.16 ms to 5.54-5.89 ms and cut fits/s by 6-13% (3 alternating
+# runs per side, 2 cores).
 # ``out`` lets a fit pass the same three arrays to every evaluation.  A
 # fresh 300 x 300 float64 array is 720 kB, and its pages are faulted in again
 # on first write: with fresh outputs (and the fresh Gram copy in gp_core) one
-# LML call at n = 300 took 673 minor page faults and 1.43-1.49 ms of system
-# time out of 5.1-5.4 ms; with reused arrays it takes 2 faults and no system
-# time.  The derivative blocks above run once per posterior, so they are
+# LML call at n = 300 took 673 minor page faults and 1.2-1.7 ms of system
+# time out of 5.5-6.1 ms; with reused arrays it takes at most 1 fault, no
+# system time and 3.5-3.6 ms (300 calls at a fitted optimum, 3 repeats, 2
+# cores).  The derivative blocks above run once per posterior, so they are
 # plain expressions.
 def log_param_grads(xs, hp: Hyperparams, out=None):
     """Gram matrix over ``xs`` and its derivatives w.r.t. the shape log-parameters.
@@ -145,8 +147,8 @@ def log_param_grads(xs, hp: Hyperparams, out=None):
     one pass that computes u = r - 1 and log r = log1p(u) once.  K equals
     kernel_matrix(xs, xs, hp, "VV") bit for bit.  (dK/d log sigma_f = 2K
     needs no kernel-specific code.)  ``out``, if given, is three float64
-    (n, n) arrays that receive the results in that order, and the returned
-    list holds those arrays; the values are the same bit for bit.
+    (n, n) arrays that receive the results in that order and are
+    returned; their contents do not affect the results.
     """
     if out is None:
         n = len(xs)
