@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, detect, metrics, synth
-from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL
+from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, check_level
 from .errors import DqdvGpError, GridDoesNotReachThreshold
 from .ingest import (
     CC_TOL_DEFAULT,
@@ -124,6 +124,23 @@ def _config_dict(args):
     return cfg
 
 
+def _sg_config(args):
+    return baseline.SgConfig(
+        window=args.sg_window, polyorder=args.sg_polyorder, resample_n=args.grid_n)
+
+
+def _check_options(args):
+    """Raise ValueError for an option value that would fail a run part-way through."""
+    if args.command == "analyze":
+        check_level(args.level)
+        if args.grid_n < detect.MIN_GRID_N:
+            raise ValueError(f"--grid-n must be at least {detect.MIN_GRID_N}, got {args.grid_n}")
+    if args.command == "bench" and args.n_seeds < 1:
+        raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
+    if args.command == "bench" or (args.command == "analyze" and args.baseline):
+        _sg_config(args)
+
+
 def _make_spec(args):
     """The scenario's spec with the noise, sample count and seed of ``args``;
     everything else keeps its ``SynthSpec`` default."""
@@ -185,11 +202,7 @@ def _analyze_input(path, args, out, config) -> bool:
                   post.grid, post.mean, post.lower, post.upper)
 
         if args.baseline:
-            cfg = baseline.SgConfig(
-                window=args.sg_window, polyorder=args.sg_polyorder,
-                resample_n=args.grid_n,
-            )
-            grid, dqdv = baseline.fd_dqdv(curve, cfg)
+            grid, dqdv = baseline.fd_dqdv(curve, _sg_config(args))
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 
@@ -235,16 +248,13 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base_spec = _make_spec(args)
-    sg_cfg = baseline.SgConfig(
-        window=args.sg_window, polyorder=args.sg_polyorder, resample_n=args.grid_n
-    )
+    sg_cfg = _sg_config(args)
 
     rows = [
         paired_trial(base_spec, seed=args.seed + k, grid_n=args.grid_n, sg_cfg=sg_cfg)
         for k in range(args.n_seeds)
     ]
-    fields = ["seed", "gp_rmse", "sg_rmse", "v_peak_err", "coverage",
-              "length_scale", "noise_std", "alpha"]
+    fields = list(rows[0])
     write_csv(out / "bench.csv", fields, *([r[k] for r in rows] for k in fields))
 
     gp_wins = sum(r["gp_rmse"] < r["sg_rmse"] for r in rows)
@@ -262,6 +272,11 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        _check_options(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     handler = {"analyze": cmd_analyze, "synth": cmd_synth, "bench": cmd_bench}[args.command]
     try:
         return handler(args)

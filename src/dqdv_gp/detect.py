@@ -22,6 +22,7 @@ __all__ = [
 
 THRESHOLD_V_DEFAULT = 4.0
 MIN_PROMINENCE_FRAC_DEFAULT = 0.05
+MIN_GRID_N = 5
 
 VERDICT_PLATING = "Plating"
 VERDICT_NO_PLATING = "NoPlating"
@@ -111,8 +112,8 @@ def find_peaks(
     the posterior's own, read at the sample where scipy found the maximum.
     """
     mean = post.mean
-    if len(mean) < 5:
-        raise ValueError("grid must have at least 5 points")
+    if len(mean) < MIN_GRID_N:
+        raise ValueError(f"grid must have at least {MIN_GRID_N} points")
     rng = float(np.max(mean) - np.min(mean))
     if rng <= 0:
         return []

@@ -276,24 +276,18 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     ]
     lo, hi = np.array(bounds).T
     work = _workspace(len(train))
-    # (-LML, -grad) of every point scored: L-BFGS-B's first call repeats the
-    # start it ascends from, which is answered from here
+    # (-LML, -grad) of every point scored, in the order scored: L-BFGS-B's
+    # first call repeats the start it ascends from, which is answered from
+    # here, and an ascent can end at a point below the best one it evaluated
     scored = {}
-    # the best point scored: L-BFGS-B can end an ascent at a point below the
-    # best one it evaluated
-    best_f, best_x = _PENALTY, None
 
     def neg_lml(log_theta):
-        nonlocal best_f, best_x
         if not np.all(np.isfinite(log_theta)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
         key = log_theta.tobytes()
-        if key in scored:
-            f, g = scored[key]
-        else:
-            f, g = scored[key] = _neg_lml(train, log_theta, work)
-            if f < best_f:
-                best_f, best_x = f, log_theta.copy()
+        if key not in scored:
+            scored[key] = _neg_lml(train, log_theta, work)
+        f, g = scored[key]
         return f, g.copy()
 
     starts = []
@@ -332,6 +326,8 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     # neg_lml holds the buffers through its closure cell; drop them before
     # conditioning allocates its own n x n arrays
     work = None
+    # min keeps the first of equal values, so ties go to the earliest point
+    best_x = np.frombuffer(min(scored, key=lambda point: scored[point][0]))
     return _condition(train, Hyperparams(*np.exp(best_x)))
 
 

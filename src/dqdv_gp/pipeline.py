@@ -89,7 +89,7 @@ def paired_trial(
     )
     curve = curves[0]
 
-    model, post, _ = analyze_curve(curve, grid_n=grid_n)
+    model, post, report = analyze_curve(curve, grid_n=grid_n)
     truth = synth.true_dqdv(spec, post.grid)
     mask = interior_mask(post.grid)
     gp_rmse = float(np.sqrt(np.mean((post.mean[mask] - truth[mask]) ** 2)))
@@ -103,11 +103,10 @@ def paired_trial(
     coverage = float(np.mean(covered[mask]))
 
     v_peak_err = np.nan
-    if spec.plating_bump is not None:
-        cands = [p for p in detect.find_peaks(post) if p.v_peak > detect.THRESHOLD_V_DEFAULT]
-        if cands:
-            best = max(cands, key=lambda p: p.magnitude)
-            v_peak_err = abs(best.v_peak - spec.plating_bump.center)
+    # report.peaks are the candidates above the default threshold
+    if spec.plating_bump is not None and report.peaks:
+        best = max(report.peaks, key=lambda p: p.magnitude)
+        v_peak_err = abs(best.v_peak - spec.plating_bump.center)
 
     return {
         "seed": seed,

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.special import ndtr
 
 from .detect import THRESHOLD_V_DEFAULT
 from .errors import InvalidSpec
@@ -137,8 +138,6 @@ def _raw_dqdv(spec, v):
 
 def _raw_q(spec, v):
     """Exact antiderivative of _raw_dqdv, zero at the lower cutoff."""
-    from scipy.stats import norm
-
     v = np.asarray(v, dtype=float)
     lo = spec.v_range[0]
     out = np.zeros_like(v)
@@ -151,8 +150,8 @@ def _raw_q(spec, v):
             out = out + ramp.weight * (s_v - s_lo)
     for bump in _all_bumps(spec):
         out = out + bump.amplitude * bump.width * _SQRT_2PI * (
-            norm.cdf((v - bump.center) / bump.width)
-            - norm.cdf((lo - bump.center) / bump.width)
+            ndtr((v - bump.center) / bump.width)
+            - ndtr((lo - bump.center) / bump.width)
         )
     return out
 

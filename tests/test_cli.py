@@ -171,3 +171,22 @@ def test_bench_smoke(tmp_path):
     assert lines[0].startswith("seed,gp_rmse,sg_rmse")
     assert lines[0].endswith(",alpha")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["bench", "--n-seeds", "0"],
+    ["bench", "--n-seeds", "-2"],
+    ["analyze", "--level", "1.5"],
+    ["analyze", "--grid-n", "3"],
+    ["analyze", "--baseline", "--sg-window", "4"],
+], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window"])
+def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
+    log = _run_synth(tmp_path, "--n-samples", "100")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    command, *rest = flags
+    inputs = [str(log)] if command == "analyze" else []
+    assert main([command, *inputs, "--out", str(out), *rest]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())

@@ -1,10 +1,14 @@
 """Derivative posterior: mean vs finite differences of the value posterior,
 variance sanity, band geometry, and joint sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
+from dqdv_gp import derivative
 from dqdv_gp.derivative import (
     covariance_full,
     derivative_posterior,
@@ -102,6 +106,15 @@ def test_sampling_is_seeded_and_matches_moments(smooth_model):
     assert np.all(np.abs(emp_var - post.var) <= 0.10 * post.var + 1e-16)
 
 
+def test_sampling_takes_round_off_relative_to_the_output_scale(smooth_model):
+    train = smooth_model.train
+    model = fit(TrainingSet(train.xs, 1e6 * train.ys))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_derivative(model, np.linspace(2.9, 4.0, 400), 2, seed=0)
+    assert np.all(np.isfinite(draws))
+
+
 def test_level_validation(smooth_model):
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
@@ -111,3 +124,29 @@ def test_level_validation(smooth_model):
 def test_grid_must_be_finite(smooth_model):
     with pytest.raises(ValueError, match="finite"):
         derivative_posterior(smooth_model, np.array([3.5, np.nan]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, grid: covariance_full(model, grid),
+    lambda model, grid: sample_derivative(model, grid, 3, seed=0),
+], ids=["covariance_full", "sample_derivative"])
+def test_covariance_and_draws_need_a_finite_grid(smooth_model, call):
+    with pytest.raises(ValueError, match="finite"):
+        call(smooth_model, np.array([3.5, np.nan]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, grid: derivative_posterior(model, grid),
+    lambda model, grid: covariance_full(model, grid),
+    lambda model, grid: sample_derivative(model, grid, 3, seed=0),
+], ids=["derivative_posterior", "covariance_full", "sample_derivative"])
+def test_each_posterior_quantity_takes_one_solve(smooth_model, monkeypatch, call):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_triangular(*args, **kwargs)
+
+    monkeypatch.setattr(derivative, "solve_triangular", counting)
+    call(smooth_model, np.linspace(2.9, 4.0, 30))
+    assert len(calls) == 1
