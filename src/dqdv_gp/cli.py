@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +21,7 @@ from .errors import DqdvGpError, GridDoesNotReachThreshold
 from .ingest import (
     CC_TOL_DEFAULT,
     MAX_POINTS_DEFAULT,
+    MIN_POINTS,
     V_MAX_DEFAULT,
     V_MIN_DEFAULT,
     parse_log,
@@ -33,11 +33,6 @@ from .pipeline import analyze_curve, log_to_curves, paired_trial
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNASSESSABLE = 2
-
-
-def _seed_default():
-    env = os.environ.get("DQDV_GP_SEED")
-    return int(env) if env else 0
 
 
 def _sha256(path):
@@ -54,26 +49,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _add_ingest_flags(p):
-    p.add_argument("--vmin", type=float, default=V_MIN_DEFAULT)
-    p.add_argument("--vmax", type=float, default=V_MAX_DEFAULT)
-    p.add_argument("--max-points", type=int, default=MAX_POINTS_DEFAULT)
-    p.add_argument("--cc-tol", type=float, default=CC_TOL_DEFAULT)
-
-
-def _add_analysis_flags(p):
-    p.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    p.add_argument("--level", type=float, default=DEFAULT_LEVEL)
-    p.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
-    p.add_argument("--prominence", type=float, default=detect.MIN_PROMINENCE_FRAC_DEFAULT,
-                   help="minimum peak prominence as a fraction of the mean's range")
-
-
-def _add_sg_flags(p):
-    p.add_argument("--sg-window", type=int, default=baseline.SgConfig.window)
-    p.add_argument("--sg-polyorder", type=int, default=baseline.SgConfig.polyorder)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dqdv-gp",
@@ -84,13 +59,15 @@ def build_parser():
     pa = sub.add_parser("analyze", help="analyze charging logs and write reports")
     pa.add_argument("inputs", nargs="+", help="charging-log CSV files (.csv or .csv.gz)")
     pa.add_argument("--out", default="dqdv_out", help="output directory")
-    _add_ingest_flags(pa)
-    _add_analysis_flags(pa)
-    _add_sg_flags(pa)
+    pa.add_argument("--vmin", type=float, default=V_MIN_DEFAULT)
+    pa.add_argument("--vmax", type=float, default=V_MAX_DEFAULT)
+    pa.add_argument("--max-points", type=int, default=MAX_POINTS_DEFAULT)
+    pa.add_argument("--cc-tol", type=float, default=CC_TOL_DEFAULT)
+    pa.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
+    pa.add_argument("--level", type=float, default=DEFAULT_LEVEL)
+    pa.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
     pa.add_argument("--baseline", action="store_true",
                     help="also emit SG+finite-difference dQ/dV curves")
-    pa.add_argument("--skip-cycles", type=int, default=0,
-                    help="cycles excluded from the degradation-rate fit")
     pa.add_argument("--capacity", type=float, default=None,
                     help="nominal cell capacity in Ah (over-capacity warning)")
 
@@ -102,7 +79,7 @@ def build_parser():
     ps.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
     ps.add_argument("--n-cycles", type=int, default=synth.SynthSpec.n_cycles)
     ps.add_argument("--fade-rate", type=float, default=synth.SynthSpec.fade_rate)
-    ps.add_argument("--seed", type=int, default=_seed_default())
+    ps.add_argument("--seed", type=int, default=0)
 
     pb = sub.add_parser("bench", help="paired GP-vs-SG benchmark on synthetic data")
     pb.add_argument("--out", default="bench_out")
@@ -111,8 +88,7 @@ def build_parser():
     pb.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
     pb.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
     pb.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    _add_sg_flags(pb)
-    pb.add_argument("--seed", type=int, default=_seed_default())
+    pb.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -124,21 +100,18 @@ def _config_dict(args):
     return cfg
 
 
-def _sg_config(args):
-    return baseline.SgConfig(
-        window=args.sg_window, polyorder=args.sg_polyorder, resample_n=args.grid_n)
-
-
 def _check_options(args):
     """Raise ValueError for an option value that would fail a run part-way through."""
     if args.command == "analyze":
         check_level(args.level)
         if args.grid_n < detect.MIN_GRID_N:
             raise ValueError(f"--grid-n must be at least {detect.MIN_GRID_N}, got {args.grid_n}")
+        if args.max_points < MIN_POINTS:
+            raise ValueError(f"--max-points must be at least {MIN_POINTS}, got {args.max_points}")
     if args.command == "bench" and args.n_seeds < 1:
         raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     if args.command == "bench" or (args.command == "analyze" and args.baseline):
-        _sg_config(args)
+        baseline.SgConfig(resample_n=args.grid_n)
 
 
 def _make_spec(args):
@@ -192,7 +165,6 @@ def _analyze_input(path, args, out, config) -> bool:
                 grid_n=args.grid_n,
                 level=args.level,
                 threshold_v=args.threshold_v,
-                min_prominence_frac=args.prominence,
             )
         except GridDoesNotReachThreshold as exc:
             unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
@@ -202,7 +174,7 @@ def _analyze_input(path, args, out, config) -> bool:
                   post.grid, post.mean, post.lower, post.upper)
 
         if args.baseline:
-            grid, dqdv = baseline.fd_dqdv(curve, _sg_config(args))
+            grid, dqdv = baseline.fd_dqdv(curve, baseline.SgConfig(resample_n=args.grid_n))
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 
@@ -220,9 +192,7 @@ def _analyze_input(path, args, out, config) -> bool:
         doc["throughput"] = {
             "cycles": [int(c) for c in series.cycles],
             "normalized": [float(x) for x in series.normalized],
-            "rate_pct_per_cycle": metrics.degradation_rate(
-                series, skip_cycles=args.skip_cycles
-            ),
+            "rate_pct_per_cycle": metrics.degradation_rate(series),
         }
         write_csv(out / f"{stem}_throughput.csv", ["cycle", "normalized_throughput"],
                   series.cycles, series.normalized)
@@ -248,10 +218,9 @@ def cmd_bench(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base_spec = _make_spec(args)
-    sg_cfg = _sg_config(args)
 
     rows = [
-        paired_trial(base_spec, seed=args.seed + k, grid_n=args.grid_n, sg_cfg=sg_cfg)
+        paired_trial(base_spec, seed=args.seed + k, grid_n=args.grid_n)
         for k in range(args.n_seeds)
     ]
     fields = list(rows[0])
@@ -280,11 +249,8 @@ def main(argv=None) -> int:
     handler = {"analyze": cmd_analyze, "synth": cmd_synth, "bench": cmd_bench}[args.command]
     try:
         return handler(args)
-    except DqdvGpError as exc:
+    except (DqdvGpError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

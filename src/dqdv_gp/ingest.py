@@ -40,6 +40,7 @@ __all__ = [
 V_MIN_DEFAULT = 2.75
 V_MAX_DEFAULT = 4.2
 MAX_POINTS_DEFAULT = 500
+MIN_POINTS = 4  # fewest Q(V) points a cleaned curve may keep
 CC_TOL_DEFAULT = 0.02
 SECONDS_PER_HOUR = 3600.0
 
@@ -278,9 +279,12 @@ def clean_qv(
     (isotonic projection, which averages out local inversions instead of
     ratcheting them upward), and downsamples uniformly in V to at most
     ``max_points`` keeping the endpoints.  Charge is re-zeroed at the first
-    kept sample.
+    kept sample.  Raises ValueError when ``max_points`` is below
+    ``MIN_POINTS``.
     """
-    if len(curve) < 4:
+    if max_points < MIN_POINTS:
+        raise ValueError(f"max_points must be at least {MIN_POINTS}, got {max_points}")
+    if len(curve) < MIN_POINTS:
         raise TooFewPoints(f"curve has only {len(curve)} points")
 
     order = np.argsort(curve.v, kind="stable")
@@ -297,8 +301,8 @@ def clean_qv(
 
     mask = (v >= vmin) & (v <= vmax)
     v, q = v[mask], q[mask]
-    if len(v) < 4:
-        raise TooFewPoints("fewer than 4 points inside the voltage cutoffs")
+    if len(v) < MIN_POINTS:
+        raise TooFewPoints(f"fewer than {MIN_POINTS} points inside the voltage cutoffs")
 
     if np.any(np.diff(q) < 0):
         q = isotonic_regression(q).x
@@ -310,8 +314,8 @@ def clean_qv(
         idx[0], idx[-1] = 0, len(v) - 1
         v, q = v[idx], q[idx]
 
-    if len(v) < 4:
-        raise TooFewPoints("fewer than 4 points after downsampling")
+    if len(v) < MIN_POINTS:
+        raise TooFewPoints(f"fewer than {MIN_POINTS} points after downsampling")
     return QVCurve(
         v=v, q=q, cycle=curve.cycle, start=curve.start, end=curve.end,
         over_capacity=curve.over_capacity,

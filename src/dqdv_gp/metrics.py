@@ -40,14 +40,12 @@ def throughput_series(curves: list[QVCurve]) -> ThroughputSeries:
     return ThroughputSeries(cycles=cycles, throughput=tp, normalized=tp / tp[0])
 
 
-def degradation_rate(series: ThroughputSeries, skip_cycles: int = 0) -> float:
+def degradation_rate(series: ThroughputSeries) -> float:
     """Percent throughput loss per cycle from a linear least-squares fit of
     the normalized series against cycle index."""
-    x = series.cycles[skip_cycles:]
-    y = series.normalized[skip_cycles:]
-    if len(x) < 2:
+    if len(series.cycles) < 2:
         raise ValueError("rate fitting needs at least 2 cycles")
-    slope = np.polyfit(x.astype(float), y, 1)[0]
+    slope = np.polyfit(series.cycles.astype(float), series.normalized, 1)[0]
     return float(-slope * 100.0)
 
 

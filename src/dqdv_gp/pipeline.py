@@ -20,7 +20,6 @@ def analyze_curve(
     grid_n: int = DEFAULT_GRID_N,
     level: float = DEFAULT_LEVEL,
     threshold_v: float = detect.THRESHOLD_V_DEFAULT,
-    min_prominence_frac: float = detect.MIN_PROMINENCE_FRAC_DEFAULT,
 ):
     """Fit, differentiate, and classify one cycle.
 
@@ -33,7 +32,6 @@ def analyze_curve(
     report = detect.classify(
         post,
         threshold_v=threshold_v,
-        min_prominence_frac=min_prominence_frac,
         cycle=curve.cycle,
     )
     return model, post, report

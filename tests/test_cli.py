@@ -147,17 +147,17 @@ def test_analyze_report_ignores_seed_env(tmp_path, monkeypatch):
     # every analyze flag but --out, plus the subcommand
     assert set(json.loads(a)["config"]) == {
         "command", "inputs", "vmin", "vmax", "max_points", "cc_tol", "grid_n",
-        "level", "threshold_v", "prominence", "sg_window", "sg_polyorder",
-        "baseline", "skip_cycles", "capacity",
+        "level", "threshold_v", "baseline", "capacity",
     }
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DQDV_GP_SEED", "77")
+def test_seed_env_is_ignored(tmp_path, monkeypatch):
+    # the seed comes from --seed alone; a stray variable cannot crash a run
+    monkeypatch.setenv("DQDV_GP_SEED", "abc")
     out = tmp_path / "synth"
     assert main(["synth", "--out", str(out)]) == 0
     sidecar = json.loads((out / "spec.json").read_text())
-    assert sidecar["config"]["seed"] == 77
+    assert sidecar["config"]["seed"] == 0
 
 
 def test_bench_smoke(tmp_path):
@@ -178,8 +178,11 @@ def test_bench_smoke(tmp_path):
     ["bench", "--n-seeds", "-2"],
     ["analyze", "--level", "1.5"],
     ["analyze", "--grid-n", "3"],
-    ["analyze", "--baseline", "--sg-window", "4"],
-], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window"])
+    ["analyze", "--baseline", "--grid-n", "7"],
+    ["bench", "--grid-n", "7"],
+    ["analyze", "--max-points", "0"],
+], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window", "bench-sg-window",
+        "max-points"])
 def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
     log = _run_synth(tmp_path, "--n-samples", "100")
     capsys.readouterr()

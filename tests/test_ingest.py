@@ -338,6 +338,13 @@ class TestCleanQv:
             clean_qv(QVCurve(v=np.array([3.0, 3.1, 3.2]), q=np.zeros(3),
                              cycle=1, start=0, end=3))
 
+    @pytest.mark.parametrize("max_points", [0, 3])
+    def test_max_points_below_minimum(self, max_points):
+        v = np.linspace(2.8, 4.1, 100)
+        with pytest.raises(ValueError):
+            clean_qv(QVCurve(v=v, q=np.linspace(0, 0.04, 100), cycle=1, start=0, end=100),
+                     max_points=max_points)
+
     @given(
         n=st.integers(4, 200),
         seed=st.integers(0, 10**6),

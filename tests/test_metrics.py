@@ -82,25 +82,9 @@ def test_degradation_rate_exact_linear():
     assert rate == pytest.approx(2.0, abs=1e-9)
 
 
-def test_degradation_rate_skip_cycles():
-    # first cycle is an outlier; skipping it recovers the trend
-    q_ends = [0.030] + [0.045 * (1.0 - 0.01 * c) for c in range(9)]
-    curves = [_curve(c + 1, q) for c, q in enumerate(q_ends)]
-    series = throughput_series(curves)
-    full = degradation_rate(series)
-    skipped = degradation_rate(series, skip_cycles=1)
-    # normalization is still by cycle 1, so the recovered slope scales by q1/q2
-    expected = 0.01 * 0.045 / 0.030 * 100.0
-    assert skipped == pytest.approx(expected, rel=1e-9)
-    assert abs(full - expected) > 0.1
-
-
 def test_degradation_rate_needs_two_cycles():
     with pytest.raises(ValueError):
-        degradation_rate(throughput_series([_curve(1, 0.045)]), skip_cycles=0)
-    with pytest.raises(ValueError):
-        degradation_rate(throughput_series([_curve(1, 0.045), _curve(2, 0.044)]),
-                         skip_cycles=1)
+        degradation_rate(throughput_series([_curve(1, 0.045)]))
 
 
 class TestConcordance:
