@@ -26,7 +26,7 @@ from .ingest import (
 )
 from .detect import PeakCandidate, PlatingReport, find_peaks, classify
 from .metrics import ThroughputSeries, throughput_series, degradation_rate, concordance
-from .baseline import SgConfig, sg_smooth, fd_dqdv
+from .baseline import SgConfig, fd_dqdv
 from .synth import (
     SynthSpec,
     LogisticRamp,

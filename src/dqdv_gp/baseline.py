@@ -9,10 +9,9 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from .derivative import DEFAULT_GRID_N
-from .errors import WindowTooLarge
 from .ingest import QVCurve
 
-__all__ = ["SgConfig", "sg_smooth", "fd_dqdv"]
+__all__ = ["SgConfig", "fd_dqdv"]
 
 
 @dataclass(frozen=True)
@@ -32,28 +31,14 @@ class SgConfig:
             raise ValueError("resample_n must be at least the window length")
 
 
-def sg_smooth(values, cfg: SgConfig):
-    """Local least-squares polynomial smoothing with SG convolution weights.
-
-    Endpoints use a polynomial fit over the truncated window (scipy's
-    'interp' edge mode).
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) < cfg.window:
-        raise WindowTooLarge(
-            f"window {cfg.window} exceeds signal length {len(values)}"
-        )
-    return savgol_filter(values, cfg.window, cfg.polyorder, mode="interp")
-
-
 def fd_dqdv(curve: QVCurve, cfg: SgConfig = SgConfig()):
     """Conventional dQ/dV: resample q onto a uniform V grid, SG-smooth, then
-    finite-difference (central interior, one-sided ends).
-
-    Returns (grid, dqdv).
+    finite-difference (central interior, one-sided ends).  The smoothed
+    endpoints come from a polynomial fit over the truncated window (scipy's
+    'interp' edge mode).  Returns (grid, dqdv).
     """
     grid = np.linspace(curve.v[0], curve.v[-1], cfg.resample_n)
     q = np.interp(grid, curve.v, curve.q)
-    q_s = sg_smooth(q, cfg)
+    q_s = savgol_filter(q, cfg.window, cfg.polyorder, mode="interp")
     dqdv = np.gradient(q_s, grid)
     return grid, dqdv

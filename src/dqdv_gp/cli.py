@@ -22,6 +22,7 @@ from .ingest import (
     CC_TOL_DEFAULT,
     MAX_POINTS_DEFAULT,
     MIN_POINTS,
+    OVER_CAPACITY_FACTOR,
     V_MAX_DEFAULT,
     V_MIN_DEFAULT,
     parse_log,
@@ -100,9 +101,18 @@ def _config_dict(args):
     return cfg
 
 
+def _stem(path):
+    """The name that keys an input's output files."""
+    return Path(path).name.removesuffix(".gz").removesuffix(".csv")
+
+
 def _check_options(args):
     """Raise ValueError for an option value that would fail a run part-way through."""
     if args.command == "analyze":
+        stems = [_stem(path) for path in args.inputs]
+        clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
+        if clashes:
+            raise ValueError(f"inputs would overwrite each other's outputs: {clashes}")
         check_level(args.level)
         if args.grid_n < detect.MIN_GRID_N:
             raise ValueError(f"--grid-n must be at least {detect.MIN_GRID_N}, got {args.grid_n}")
@@ -143,7 +153,7 @@ def cmd_analyze(args) -> int:
 def _analyze_input(path, args, out, config) -> bool:
     """Write the curves and the report of one input; True if some cycle in it
     could not be assessed."""
-    stem = Path(path).name.removesuffix(".gz").removesuffix(".csv")
+    stem = _stem(path)
     log = parse_log(path)
     curves = log_to_curves(
         log,
@@ -157,6 +167,9 @@ def _analyze_input(path, args, out, config) -> bool:
     cycle_reports = []
     unassessable = []
     for curve in curves:
+        if curve.over_capacity:
+            print(f"warning: {path}: cycle {curve.cycle}: CC charge above "
+                  f"{OVER_CAPACITY_FACTOR} x --capacity", file=sys.stderr)
         tag = f"{stem}_cycle{curve.cycle}"
         write_csv(out / f"{tag}_qv.csv", ["voltage_v", "charge_ah"], curve.v, curve.q)
         try:

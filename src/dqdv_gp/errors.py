@@ -47,10 +47,6 @@ class TooFewPoints(DqdvGpError):
     """A Q(V) curve has fewer than 4 points after cleaning."""
 
 
-class WindowTooLarge(DqdvGpError):
-    """Savitzky-Golay window exceeds the signal length."""
-
-
 class GridDoesNotReachThreshold(DqdvGpError):
     """Analysis grid tops out at or below the plating threshold voltage.
 

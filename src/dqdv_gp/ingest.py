@@ -2,15 +2,14 @@
 counting, and Q(V) cleaning.
 
 Column contract: named columns ``time_s, current_a, voltage_v`` with an
-optional ``cycle`` column, comma-delimited.  Gzip-compressed files are
-accepted by extension.
+optional ``cycle`` column, comma-delimited, UTF-8 with or without a
+byte-order mark.  Gzip-compressed files are accepted by extension.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
-import io
 import math
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ V_MAX_DEFAULT = 4.2
 MAX_POINTS_DEFAULT = 500
 MIN_POINTS = 4  # fewest Q(V) points a cleaned curve may keep
 CC_TOL_DEFAULT = 0.02
+OVER_CAPACITY_FACTOR = 1.5  # CC charge above this many nominal capacities is flagged
 SECONDS_PER_HOUR = 3600.0
 
 
@@ -93,8 +93,6 @@ class QVCurve:
     v: np.ndarray
     q: np.ndarray
     cycle: int
-    start: int
-    end: int
     over_capacity: bool = False
 
     def __post_init__(self):
@@ -105,25 +103,15 @@ class QVCurve:
         return len(self.v)
 
 
-def _open_text(source, mode="rt"):
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    if str(source).endswith(".gz"):
-        return gzip.open(source, mode, encoding="utf-8")
-    return open(source, mode, encoding="utf-8")
-
-
-def parse_log(source) -> ChargeLog:
-    """Parse a charging-log CSV into a validated ChargeLog.
+def parse_log(path) -> ChargeLog:
+    """Parse a charging-log CSV (gzip if the name ends in .gz) into a validated ChargeLog.
 
     Rows with non-finite or unparseable fields are skipped and reported in
     ``rejected_rows`` (1-based data-row indices).  Raises MalformedHeader,
     NonMonotonicTime (first offending row), or EmptyLog.
     """
-    with _open_text(source) as fh:
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=DELIMITER)
         try:
             header = next(reader)
@@ -174,30 +162,25 @@ def parse_log(source) -> ChargeLog:
     )
 
 
-def write_csv(dest, header, *columns):
-    """Write equal-length columns under ``header`` to a path or a text file.
+def write_csv(path, header, *columns):
+    """Write equal-length columns under ``header`` to the file at ``path``.
 
     Floats are written as ``repr(float(x))``, the shortest string that reads
     back to the same value; integers and strings as they are.
     """
     rows = zip(*(np.asarray(col).tolist() for col in columns))
-    own = not hasattr(dest, "write")
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=DELIMITER)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if own:
-            fh.close()
 
 
-def write_log(log: ChargeLog, dest):
+def write_log(log: ChargeLog, path):
     """Write a ChargeLog back out in the standard CSV schema."""
     if log.cycle is None:
-        write_csv(dest, [TIME_COL, CURRENT_COL, VOLTAGE_COL], log.t, log.i, log.v)
+        write_csv(path, [TIME_COL, CURRENT_COL, VOLTAGE_COL], log.t, log.i, log.v)
     else:
-        write_csv(dest, [TIME_COL, CURRENT_COL, VOLTAGE_COL, CYCLE_COL],
+        write_csv(path, [TIME_COL, CURRENT_COL, VOLTAGE_COL, CYCLE_COL],
                   log.t, log.i, log.v, log.cycle)
 
 
@@ -251,16 +234,13 @@ def extract_cc_charge(log: ChargeLog, tol: float = CC_TOL_DEFAULT) -> list[CCSeg
 def coulomb_count(segment: CCSegment, capacity_ah: float | None = None) -> QVCurve:
     """Integrate current over time (trapezoid) into cumulative charge in Ah.
 
-    Flags the curve when total charge exceeds 1.5x the nominal capacity.
+    Flags the curve when total charge exceeds ``OVER_CAPACITY_FACTOR`` x capacity_ah.
     """
     dt = np.diff(segment.t)
     inc = 0.5 * (segment.i[1:] + segment.i[:-1]) * dt / SECONDS_PER_HOUR
     q = np.concatenate([[0.0], np.cumsum(inc)])
-    over = bool(capacity_ah is not None and q[-1] > 1.5 * capacity_ah)
-    return QVCurve(
-        v=segment.v, q=q, cycle=segment.cycle,
-        start=segment.start, end=segment.end, over_capacity=over,
-    )
+    over = bool(capacity_ah is not None and q[-1] > OVER_CAPACITY_FACTOR * capacity_ah)
+    return QVCurve(v=segment.v, q=q, cycle=segment.cycle, over_capacity=over)
 
 
 DUPLICATE_V_EPS = 1e-4  # 0.1 mV, below 16-bit cycler quantization at 4.2 V
@@ -316,7 +296,4 @@ def clean_qv(
 
     if len(v) < MIN_POINTS:
         raise TooFewPoints(f"fewer than {MIN_POINTS} points after downsampling")
-    return QVCurve(
-        v=v, q=q, cycle=curve.cycle, start=curve.start, end=curve.end,
-        over_capacity=curve.over_capacity,
-    )
+    return QVCurve(v=v, q=q, cycle=curve.cycle, over_capacity=curve.over_capacity)

@@ -52,7 +52,7 @@ def degradation_rate(series: ThroughputSeries) -> float:
 def concordance(verdicts: dict, rates: dict, rate_split: float = 1.0) -> dict:
     """Cross-tabulate plating verdicts against degradation rates.
 
-    verdicts: condition label -> verdict string (or PlatingReport).
+    verdicts: condition label -> verdict string.
     rates: condition label -> %/cycle throughput decrease.
     A condition agrees when (verdict == Plating) == (rate >= rate_split).
     """
@@ -65,8 +65,6 @@ def concordance(verdicts: dict, rates: dict, rate_split: float = 1.0) -> dict:
     counts = {"plating_fast": 0, "plating_slow": 0, "noplating_fast": 0, "noplating_slow": 0}
     for label in labels:
         verdict = verdicts[label]
-        if hasattr(verdict, "verdict"):
-            verdict = verdict.verdict
         plating = verdict == VERDICT_PLATING
         fast = rates[label] >= rate_split
         agree = plating == fast

@@ -65,7 +65,7 @@ def interior_mask(grid):
 
 
 def paired_trial(
-    spec=None,
+    spec: synth.SynthSpec,
     seed: int = 0,
     grid_n: int = DEFAULT_GRID_N,
     sg_cfg: baseline.SgConfig | None = None,
@@ -76,8 +76,6 @@ def paired_trial(
     Returns per-seed metrics: RMSEs vs truth, GP peak-location error (when a
     plating bump exists), and empirical credible-band coverage.
     """
-    if spec is None:
-        spec = synth.plating_spec()
     spec = replace(spec, seed=seed)
     sg_cfg = sg_cfg or baseline.SgConfig(resample_n=grid_n)
 

@@ -84,6 +84,20 @@ def test_analyze_missing_file_is_error(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.csv")]) == 1
 
 
+@pytest.mark.parametrize("capacity, n_warnings", [("0.01", 2), ("0.045", 0)])
+def test_analyze_warns_on_over_capacity_cycles(tmp_path, capsys, capacity, n_warnings):
+    # each synthetic cycle takes in the default 0.045 Ah
+    log = _run_synth(tmp_path, "--n-cycles", "2", "--n-samples", "100")
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["analyze", str(log), "--out", str(out), "--capacity", capacity]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        f"warning: {log}: cycle {c}: CC charge above 1.5 x --capacity"
+        for c in range(1, n_warnings + 1)
+    ]
+
+
 def test_analyze_malformed_header_is_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
@@ -173,6 +187,12 @@ def test_bench_smoke(tmp_path):
     assert len(lines) == 4
 
 
+def test_bench_invalid_spec_is_error(tmp_path, capsys):
+    assert main(["bench", "--out", str(tmp_path / "bench"), "--n-samples", "5"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: InvalidSpec: ")
+
+
 @pytest.mark.parametrize("flags", [
     ["bench", "--n-seeds", "0"],
     ["bench", "--n-seeds", "-2"],
@@ -181,15 +201,16 @@ def test_bench_smoke(tmp_path):
     ["analyze", "--baseline", "--grid-n", "7"],
     ["bench", "--grid-n", "7"],
     ["analyze", "--max-points", "0"],
+    ["analyze", "x/log.csv", "y/log.csv"],
 ], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window", "bench-sg-window",
-        "max-points"])
+        "max-points", "same-stem"])
 def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
     log = _run_synth(tmp_path, "--n-samples", "100")
     capsys.readouterr()
     out = tmp_path / "out"
     command, *rest = flags
     inputs = [str(log)] if command == "analyze" else []
-    assert main([command, *inputs, "--out", str(out), *rest]) == 1
+    assert main([command, *inputs, *rest, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
     assert not out.exists() or not any(out.iterdir())

@@ -64,6 +64,13 @@ class TestFindPeaks:
         mean = np.linspace(0.0, 1.0, len(GRID))  # max at the right endpoint
         assert find_peaks(_post(GRID, mean, 1e-5)) == []
 
+    def test_three_sample_plateau_keeps_middle_grid_point(self):
+        # a flat top has no curvature to refine from: the middle sample stands
+        mean = _gauss(GRID[200], 0.05, 0.1)
+        mean[199:202] = 0.1
+        (peak,) = find_peaks(_post(GRID, mean, 1e-5))
+        assert (peak.v_peak, peak.magnitude, peak.index) == (GRID[200], 0.1, 200)
+
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError, match="at least 5"):
             find_peaks(_post(GRID[:4], np.zeros(4), 1e-5))

@@ -1,7 +1,6 @@
 """CSV parsing, CC-segment extraction, coulomb counting, and Q(V) cleaning."""
 
 import gzip
-import io
 
 import numpy as np
 import pytest
@@ -27,34 +26,40 @@ from dqdv_gp.ingest import (
 )
 
 
-def _csv(text):
-    return io.StringIO(text)
+def _csv(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 class TestParseLog:
-    def test_basic(self):
-        log = parse_log(_csv("time_s,current_a,voltage_v\n0,0.045,3.0\n1,0.045,3.1\n"))
+    def test_basic(self, tmp_path):
+        log = parse_log(
+            _csv(tmp_path, "time_s,current_a,voltage_v\n0,0.045,3.0\n1,0.045,3.1\n")
+        )
         assert len(log) == 2
         assert log.cycle is None
         assert log.rejected_rows == ()
         np.testing.assert_allclose(log.i, [0.045, 0.045])
 
-    def test_cycle_column_and_extra_columns(self):
+    def test_cycle_column_and_extra_columns(self, tmp_path):
         log = parse_log(
             _csv(
+                tmp_path,
                 "temp_c,time_s,current_a,voltage_v,cycle\n"
                 "25,0,0.1,3.0,1\n25,1,0.1,3.1,1\n25,0,0.1,3.0,2\n"
             )
         )
         assert list(log.cycle) == [1, 1, 2]
 
-    def test_missing_column(self):
+    def test_missing_column(self, tmp_path):
         with pytest.raises(MalformedHeader, match="voltage_v"):
-            parse_log(_csv("time_s,current_a\n0,1\n"))
+            parse_log(_csv(tmp_path, "time_s,current_a\n0,1\n"))
 
-    def test_bad_rows_are_rejected_not_fatal(self):
+    def test_bad_rows_are_rejected_not_fatal(self, tmp_path):
         log = parse_log(
             _csv(
+                tmp_path,
                 "time_s,current_a,voltage_v\n"
                 "0,0.1,3.0\n"
                 "1,abc,3.1\n"
@@ -65,31 +70,59 @@ class TestParseLog:
         assert len(log) == 2
         assert log.rejected_rows == (2, 3)
 
-    def test_non_monotonic_time_reports_row(self):
-        with pytest.raises(NonMonotonicTime) as exc:
-            parse_log(_csv("time_s,current_a,voltage_v\n0,0.1,3.0\n5,0.1,3.1\n3,0.1,3.2\n"))
-        assert exc.value.row == 3
-
-    def test_time_resets_allowed_across_cycles(self):
+    def test_blank_rows_skipped_but_numbered(self, tmp_path):
         log = parse_log(
             _csv(
+                tmp_path,
+                "time_s,current_a,voltage_v\n"
+                "0,0.1,3.0\n"
+                "\n"
+                " , ,\n"
+                "1,abc,3.1\n"
+                "2,0.1,3.2\n"
+            )
+        )
+        assert len(log) == 2
+        assert log.rejected_rows == (4,)
+
+    def test_non_monotonic_time_reports_row(self, tmp_path):
+        with pytest.raises(NonMonotonicTime) as exc:
+            parse_log(
+                _csv(tmp_path, "time_s,current_a,voltage_v\n0,0.1,3.0\n5,0.1,3.1\n3,0.1,3.2\n")
+            )
+        assert exc.value.row == 3
+
+    def test_time_resets_allowed_across_cycles(self, tmp_path):
+        log = parse_log(
+            _csv(
+                tmp_path,
                 "time_s,current_a,voltage_v,cycle\n"
                 "0,0.1,3.0,1\n10,0.1,3.5,1\n0,0.1,3.0,2\n10,0.1,3.5,2\n"
             )
         )
         assert len(log) == 4
 
-    def test_empty_file(self):
+    def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyLog):
-            parse_log(_csv(""))
+            parse_log(_csv(tmp_path, ""))
         with pytest.raises(EmptyLog):
-            parse_log(_csv("time_s,current_a,voltage_v\n"))
+            parse_log(_csv(tmp_path, "time_s,current_a,voltage_v\n"))
 
     def test_gzip_by_extension(self, tmp_path):
         p = tmp_path / "log.csv.gz"
         with gzip.open(p, "wt") as fh:
             fh.write("time_s,current_a,voltage_v\n0,0.1,3.0\n1,0.1,3.1\n")
         assert len(parse_log(p)) == 2
+
+    @pytest.mark.parametrize("name", ["log.csv", "log.csv.gz"])
+    def test_byte_order_mark(self, tmp_path, name):
+        # spreadsheet exports often start the header with a UTF-8 BOM
+        data = "\ufefftime_s,current_a,voltage_v\n0,0.1,3.0\n1,0.1,3.1\n".encode("utf-8")
+        p = tmp_path / name
+        p.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        log = parse_log(p)
+        assert len(log) == 2 and log.rejected_rows == ()
+        np.testing.assert_array_equal(log.t, [0.0, 1.0])
 
 
 @given(
@@ -98,7 +131,7 @@ class TestParseLog:
     with_cycle=st.booleans(),
 )
 @settings(max_examples=50, deadline=None)
-def test_parse_write_roundtrip(n, seed, with_cycle):
+def test_parse_write_roundtrip(tmp_path_factory, n, seed, with_cycle):
     rng = np.random.default_rng(seed)
     log = ChargeLog(
         t=np.cumsum(rng.uniform(0.1, 5.0, n)),
@@ -106,9 +139,9 @@ def test_parse_write_roundtrip(n, seed, with_cycle):
         v=rng.uniform(2.5, 4.3, n),
         cycle=np.repeat(1, n) if with_cycle else None,
     )
-    buf = io.StringIO()
-    write_log(log, buf)
-    back = parse_log(io.StringIO(buf.getvalue()))
+    path = tmp_path_factory.mktemp("roundtrip") / "log.csv"
+    write_log(log, path)
+    back = parse_log(path)
     np.testing.assert_array_equal(back.t, log.t)
     np.testing.assert_array_equal(back.i, log.i)
     np.testing.assert_array_equal(back.v, log.v)
@@ -290,14 +323,14 @@ class TestCleanQv:
     def test_already_clean_unchanged(self):
         v = np.linspace(2.8, 4.1, 100)
         q = np.linspace(0, 0.04, 100)
-        out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=100))
+        out = clean_qv(QVCurve(v=v, q=q, cycle=1))
         np.testing.assert_array_equal(out.v, v)
         np.testing.assert_array_equal(out.q, q)
 
     def test_duplicate_voltages_merged(self):
         v = np.array([3.0, 3.1, 3.1, 3.2, 3.3])
         q = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=5))
+        out = clean_qv(QVCurve(v=v, q=q, cycle=1))
         assert len(out) == 4
         # merged q is the group average, then re-zeroed at the first sample
         assert out.q[1] == pytest.approx(1.5)
@@ -305,7 +338,7 @@ class TestCleanQv:
     def test_cutoff_filtering(self):
         v = np.linspace(2.0, 4.5, 50)
         q = np.linspace(0, 0.04, 50)
-        out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=50))
+        out = clean_qv(QVCurve(v=v, q=q, cycle=1))
         assert out.v[0] >= 2.75 and out.v[-1] <= 4.2
 
     def test_monotone_q_without_upward_bias(self):
@@ -315,7 +348,7 @@ class TestCleanQv:
         v = np.linspace(2.8, 4.1, 400)
         q_true = np.linspace(0, 0.04, 400)
         q = q_true + rng.normal(0, 2e-4, 400)
-        out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=400))
+        out = clean_qv(QVCurve(v=v, q=q, cycle=1))
         assert np.all(np.diff(out.q) >= 0)
         assert abs(out.q[-1] - 0.04) < 1e-3
 
@@ -325,7 +358,7 @@ class TestCleanQv:
         v = np.sort(rng.uniform(2.8, 4.1, n))
         v += np.arange(n) * 1e-9  # break exact ties
         q = np.linspace(0, 0.045, n) + rng.normal(0, 1e-5, n)
-        out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=n), max_points=500)
+        out = clean_qv(QVCurve(v=v, q=q, cycle=1), max_points=500)
         assert len(out) <= 500
         # heavy near-duplicate merging can shift the endpoint group means a
         # few mV on a 1e5-point curve; the span itself is what matters
@@ -335,14 +368,13 @@ class TestCleanQv:
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            clean_qv(QVCurve(v=np.array([3.0, 3.1, 3.2]), q=np.zeros(3),
-                             cycle=1, start=0, end=3))
+            clean_qv(QVCurve(v=np.array([3.0, 3.1, 3.2]), q=np.zeros(3), cycle=1))
 
     @pytest.mark.parametrize("max_points", [0, 3])
     def test_max_points_below_minimum(self, max_points):
         v = np.linspace(2.8, 4.1, 100)
         with pytest.raises(ValueError):
-            clean_qv(QVCurve(v=v, q=np.linspace(0, 0.04, 100), cycle=1, start=0, end=100),
+            clean_qv(QVCurve(v=v, q=np.linspace(0, 0.04, 100), cycle=1),
                      max_points=max_points)
 
     @given(
@@ -356,8 +388,7 @@ class TestCleanQv:
         v = rng.uniform(2.5, 4.4, n)
         q = np.cumsum(rng.uniform(-1e-4, 1e-3, n))
         try:
-            out = clean_qv(QVCurve(v=v, q=q, cycle=1, start=0, end=n),
-                           max_points=max_points)
+            out = clean_qv(QVCurve(v=v, q=q, cycle=1), max_points=max_points)
         except TooFewPoints:
             return
         assert np.all(np.diff(out.v) > 0)

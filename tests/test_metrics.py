@@ -25,7 +25,7 @@ PUBLISHED_ROWS = {
 def _curve(cycle, q_end):
     v = np.linspace(2.8, 4.1, 20)
     q = np.linspace(0.0, q_end, 20)
-    return QVCurve(v=v, q=q, cycle=cycle, start=0, end=20)
+    return QVCurve(v=v, q=q, cycle=cycle)
 
 
 def test_throughput_series_sorted_and_normalized():
@@ -105,13 +105,6 @@ class TestConcordance:
                              {"a": 0.1, "b": 2.0})
         assert result["n_agree"] == 0
         assert result["rows"][0]["agree"] is False
-
-    def test_accepts_report_objects(self):
-        class FakeReport:
-            verdict = "Plating"
-
-        result = concordance({"a": FakeReport()}, {"a": 2.0})
-        assert result["n_agree"] == 1
 
     def test_intersection_only(self):
         result = concordance({"a": "Plating", "zzz": "Plating"}, {"a": 2.0, "b": 0.1})
