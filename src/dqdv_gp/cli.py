@@ -7,10 +7,10 @@ inputs, so identical runs reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,33 +72,31 @@ def build_parser():
     pa.add_argument("--capacity", type=float, default=None,
                     help="nominal cell capacity in Ah (over-capacity warning)")
 
-    ps = sub.add_parser("synth", help="generate synthetic charging logs")
+    # the synthetic cell's flags, which _make_spec reads
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--scenario", choices=["plating", "baseline"], default="plating")
+    cell.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
+    cell.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
+    cell.add_argument("--seed", type=int, default=0)
+
+    ps = sub.add_parser("synth", parents=[cell], help="generate synthetic charging logs")
     ps.add_argument("--out", default="synth_out")
-    ps.add_argument("--scenario", choices=["plating", "baseline"], default="plating")
     ps.add_argument("--capacity", type=float, default=synth.SynthSpec.capacity)
-    ps.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
-    ps.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
     ps.add_argument("--n-cycles", type=int, default=synth.SynthSpec.n_cycles)
     ps.add_argument("--fade-rate", type=float, default=synth.SynthSpec.fade_rate)
-    ps.add_argument("--seed", type=int, default=0)
 
-    pb = sub.add_parser("bench", help="paired GP-vs-SG benchmark on synthetic data")
+    pb = sub.add_parser("bench", parents=[cell],
+                        help="paired GP-vs-SG benchmark on synthetic data")
     pb.add_argument("--out", default="bench_out")
-    pb.add_argument("--scenario", choices=["plating", "baseline"], default="plating")
     pb.add_argument("--n-seeds", type=int, default=20)
-    pb.add_argument("--noise-std", type=float, default=synth.SynthSpec.noise_std)
-    pb.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
     pb.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
-    pb.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _config_dict(args):
-    # the output directory is where the report lives, not part of the
-    # analysis; leaving it out keeps identical runs byte-identical
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k not in ("command", "out")}
-    cfg["command"] = args.command
-    return cfg
+    # --out and the run's other inputs are not part of one input's analysis;
+    # leaving them out keeps its report byte-identical.  _write_json sorts keys
+    return {k: v for k, v in vars(args).items() if k not in ("out", "inputs")}
 
 
 def _stem(path):
@@ -125,18 +123,17 @@ def _check_options(args):
 
 
 def _make_spec(args):
-    """The scenario's spec with the noise, sample count and seed of ``args``;
-    everything else keeps its ``SynthSpec`` default."""
+    """The scenario's spec with every field that ``args`` has a flag for;
+    the others keep their ``SynthSpec`` defaults.  Raises InvalidSpec."""
     factory = synth.plating_spec if args.scenario == "plating" else synth.baseline_spec
-    return factory(noise_std=args.noise_std, n_samples=args.n_samples, seed=args.seed)
+    fields = {f.name for f in dataclasses.fields(synth.SynthSpec)}
+    return factory(**{k: v for k, v in vars(args).items() if k in fields})
 
 
-def cmd_analyze(args) -> int:
-    """Analyze every input in turn.  An input that fails is reported on
-    stderr and skipped; the exit code is EXIT_ERROR if any input failed,
-    else EXIT_UNASSESSABLE if any cycle could not be assessed."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_analyze(args, out, spec) -> int:
+    """Analyze every input in turn (``spec`` is None).  An input that fails is
+    reported on stderr and skipped; the exit code is EXIT_ERROR if any input
+    failed, else EXIT_UNASSESSABLE if any cycle could not be assessed."""
     config = _config_dict(args)
     failed = unassessable = False
     for path in args.inputs:
@@ -214,26 +211,16 @@ def _analyze_input(path, args, out, config) -> bool:
     return bool(unassessable)
 
 
-def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    spec = replace(
-        _make_spec(args),
-        capacity=args.capacity, n_cycles=args.n_cycles, fade_rate=args.fade_rate,
-    )
+def cmd_synth(args, out, spec) -> int:
     log = synth.generate_log(spec)
     write_log(log, out / "log.csv")
     _write_json(out / "spec.json", {"config": _config_dict(args), "spec": spec.to_dict()})
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base_spec = _make_spec(args)
-
+def cmd_bench(args, out, spec) -> int:
     rows = [
-        paired_trial(base_spec, seed=args.seed + k, grid_n=args.grid_n)
+        paired_trial(spec, seed=args.seed + k, grid_n=args.grid_n)
         for k in range(args.n_seeds)
     ]
     fields = list(rows[0])
@@ -253,7 +240,11 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         _check_options(args)
     except ValueError as exc:
@@ -261,7 +252,11 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     handler = {"analyze": cmd_analyze, "synth": cmd_synth, "bench": cmd_bench}[args.command]
     try:
-        return handler(args)
+        # building the spec checks it; --out is made only after every check
+        spec = None if args.command == "analyze" else _make_spec(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return handler(args, out, spec)
     except (DqdvGpError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

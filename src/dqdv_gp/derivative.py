@@ -31,6 +31,7 @@ __all__ = [
 
 DEFAULT_GRID_N = 400
 DEFAULT_LEVEL = 0.95
+_ROUNDOFF_REL = 1e-8  # negative variances down to this fraction of the largest are round-off
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class DerivativePosterior:
 
 def _clip_variance(var):
     # tiny negatives are round-off; anything clearly negative is a bug
-    floor = -1e-8 * max(float(np.max(var)), 0.0)
+    floor = -_ROUNDOFF_REL * max(float(np.max(var)), 0.0)
     if np.any(var < floor):
         raise DqdvGpError(
             f"derivative variance {float(np.min(var)):.3e} below round-off floor {floor:.3e}"
@@ -116,5 +117,5 @@ def sample_derivative(model: FittedGP, grid, n: int, seed: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     mean, cov = _mean_and_covariance(model, grid)
-    tol = 1e-8 * float(np.max(np.diag(cov)))  # the round-off floor of _clip_variance
+    tol = _ROUNDOFF_REL * float(np.max(np.diag(cov)))
     return np.random.default_rng(seed).multivariate_normal(mean, cov, n, method="eigh", tol=tol)

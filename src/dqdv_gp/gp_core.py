@@ -238,18 +238,6 @@ def _stop_below_tol(f0):
     return callback
 
 
-def _neg_lml(train, log_theta, work):
-    """(-LML, -grad) at log-hyperparameters, or (_PENALTY, 0) where the LML
-    cannot be evaluated."""
-    try:
-        val, grad = log_marginal_likelihood(train, Hyperparams(*np.exp(log_theta)), work)
-    except FactorizationFailure:
-        return _PENALTY, np.zeros(len(log_theta))
-    if not np.isfinite(val):
-        return _PENALTY, np.zeros(len(log_theta))
-    return -val, -grad
-
-
 def fit(train: TrainingSet, init=None) -> FittedGP:
     """Maximize the LML with L-BFGS-B in log-hyperparameter space.
 
@@ -282,11 +270,18 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
     scored = {}
 
     def neg_lml(log_theta):
+        """(-LML, -grad) at log-hyperparameters, or (_PENALTY, 0) where the
+        LML cannot be evaluated."""
         if not np.all(np.isfinite(log_theta)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
         key = log_theta.tobytes()
         if key not in scored:
-            scored[key] = _neg_lml(train, log_theta, work)
+            try:
+                val, grad = log_marginal_likelihood(train, Hyperparams(*np.exp(log_theta)), work)
+            except FactorizationFailure:
+                val = np.nan
+            finite = np.isfinite(val)
+            scored[key] = (-val, -grad) if finite else (_PENALTY, np.zeros(len(log_theta)))
         f, g = scored[key]
         return f, g.copy()
 

@@ -136,7 +136,14 @@ def parse_log(path) -> ChargeLog:
                 tv = float(row[it])
                 iv_ = float(row[ii])
                 vv = float(row[iv])
-                cv = int(row[ic]) if ic is not None else 0
+                try:
+                    cv = int(row[ic]) if ic is not None else 0
+                except ValueError:
+                    # 2.0, as pandas writes an integer column that has a missing value
+                    cv = float(row[ic])
+                    if not cv.is_integer():
+                        raise
+                    cv = int(cv)
             except (ValueError, IndexError):
                 rejected.append(row_num)
                 continue

@@ -16,7 +16,7 @@ conversion happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,12 +57,7 @@ class Hyperparams:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
     def to_dict(self):
-        return {
-            "length_scale": float(self.length_scale),
-            "signal_std": float(self.signal_std),
-            "noise_std": float(self.noise_std),
-            "alpha": float(self.alpha),
-        }
+        return asdict(self)
 
 
 def _diff(x, x_prime):

@@ -22,11 +22,6 @@ class ThroughputSeries:
     throughput: np.ndarray
     normalized: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=int))
-        object.__setattr__(self, "throughput", np.asarray(self.throughput, dtype=float))
-        object.__setattr__(self, "normalized", np.asarray(self.normalized, dtype=float))
-
 
 def throughput_series(curves: list[QVCurve]) -> ThroughputSeries:
     """Per-cycle end-of-charge throughput, normalized by the first cycle."""

@@ -173,21 +173,14 @@ def true_q(spec: SynthSpec, v):
 def plating_spec(**overrides) -> SynthSpec:
     """Default plating scenario: a plating bump at 4.08 V, width 0.03 V,
     3x the (uniform) background level."""
-    kwargs = dict(
-        background=(LogisticRamp(),),
-        plating_bump=GaussianBump(4.08, 0.03, 3.0),
-    )
+    kwargs = dict(plating_bump=GaussianBump(4.08, 0.03, 3.0))
     kwargs.update(overrides)
     return SynthSpec(**kwargs)
 
 
 def baseline_spec(**overrides) -> SynthSpec:
     """Default no-plating scenario: the two staging bumps only."""
-    kwargs = dict(
-        background=(LogisticRamp(),),
-        staging_bumps=(GaussianBump(3.45, 0.05, 2.0), GaussianBump(3.75, 0.06, 2.5)),
-        plating_bump=None,
-    )
+    kwargs = dict(staging_bumps=(GaussianBump(3.45, 0.05, 2.0), GaussianBump(3.75, 0.06, 2.5)))
     kwargs.update(overrides)
     return SynthSpec(**kwargs)
 

@@ -1,6 +1,7 @@
 """CLI surface: artifact layout, JSON schema, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,12 @@ import pytest
 from dqdv_gp.cli import main
 from dqdv_gp.ingest import ChargeLog, write_log
 from dqdv_gp.synth import generate_log, plating_spec
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # a run without --out writes to ./dqdv_out; keep it out of the checkout
+    monkeypatch.chdir(tmp_path)
 
 
 def _run_synth(tmp_path, *extra):
@@ -158,11 +165,35 @@ def test_analyze_report_ignores_seed_env(tmp_path, monkeypatch):
     assert main(["analyze", str(log), "--out", str(out2)]) == 0
     a = (out1 / "log_report.json").read_bytes()
     assert a == (out2 / "log_report.json").read_bytes()
-    # every analyze flag but --out, plus the subcommand
+    # every analyze flag but --out and the inputs, plus the subcommand
     assert set(json.loads(a)["config"]) == {
-        "command", "inputs", "vmin", "vmax", "max_points", "cc_tol", "grid_n",
+        "command", "vmin", "vmax", "max_points", "cc_tol", "grid_n",
         "level", "threshold_v", "baseline", "capacity",
     }
+
+
+def test_report_does_not_depend_on_the_other_inputs(tmp_path):
+    log = _run_synth(tmp_path, "--n-samples", "100")
+    other = tmp_path / "other.csv"
+    other.write_bytes(log.read_bytes())
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["analyze", str(log), "--out", str(out1)]) == 0
+    assert main(["analyze", str(log), str(other), "--out", str(out2)]) == 0
+    assert (out1 / "log_report.json").read_bytes() == (out2 / "log_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "s.csv", "--grid-n", "abc"], 1),
+    (["synth", "--no-such-flag"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["analyze", "--help"], 0),
+], ids=["bad-int", "unknown-flag", "no-command", "help", "subcommand-help"])
+def test_usage_exit_codes(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage: ")
+    assert not any(Path().iterdir())
 
 
 def test_seed_env_is_ignored(tmp_path, monkeypatch):
@@ -202,8 +233,11 @@ def test_bench_invalid_spec_is_error(tmp_path, capsys):
     ["bench", "--grid-n", "7"],
     ["analyze", "--max-points", "0"],
     ["analyze", "x/log.csv", "y/log.csv"],
+    ["synth", "--n-samples", "5"],
+    ["bench", "--n-samples", "5"],
+    ["synth", "--n-cycles", "3", "--fade-rate", "0.6"],
 ], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window", "bench-sg-window",
-        "max-points", "same-stem"])
+        "max-points", "same-stem", "synth-spec", "bench-spec", "synth-fade"])
 def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
     log = _run_synth(tmp_path, "--n-samples", "100")
     capsys.readouterr()
@@ -213,4 +247,4 @@ def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
     assert main([command, *inputs, *rest, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()

@@ -52,6 +52,18 @@ class TestParseLog:
         )
         assert list(log.cycle) == [1, 1, 2]
 
+    def test_integral_float_cycle_labels(self, tmp_path):
+        log = parse_log(
+            _csv(
+                tmp_path,
+                "time_s,current_a,voltage_v,cycle\n"
+                "0,0.1,3.0,1.0\n1,0.1,3.1,1.0\n2,0.1,3.2,1.5\n0,0.1,3.0,2.0\n"
+                "1,0.1,3.1,nan\n2,0.1,3.2,inf\n3,0.1,3.3,2.0\n"
+            )
+        )
+        assert list(log.cycle) == [1, 1, 2, 2]
+        assert log.rejected_rows == (3, 5, 6)
+
     def test_missing_column(self, tmp_path):
         with pytest.raises(MalformedHeader, match="voltage_v"):
             parse_log(_csv(tmp_path, "time_s,current_a\n0,1\n"))
