@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .derivative import DEFAULT_GRID_N
 from .ingest import QVCurve
@@ -37,6 +36,10 @@ def fd_dqdv(curve: QVCurve, cfg: SgConfig = SgConfig()):
     endpoints come from a polynomial fit over the truncated window (scipy's
     'interp' edge mode).  Returns (grid, dqdv).
     """
+    # imported here: scipy.signal, and the scipy.stats it loads, take about
+    # half of the package's import time, and only the comparator needs them
+    from scipy.signal import savgol_filter
+
     grid = np.linspace(curve.v[0], curve.v[-1], cfg.resample_n)
     q = np.interp(grid, curve.v, curve.q)
     q_s = savgol_filter(q, cfg.window, cfg.polyorder, mode="interp")

@@ -29,7 +29,7 @@ from .ingest import (
     write_csv,
     write_log,
 )
-from .pipeline import analyze_curve, log_to_curves, paired_trial
+from .pipeline import analyze_curve, log_to_curves, paired_trial, sg_config
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -119,7 +119,7 @@ def _check_options(args):
     if args.command == "bench" and args.n_seeds < 1:
         raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     if args.command == "bench" or (args.command == "analyze" and args.baseline):
-        baseline.SgConfig(resample_n=args.grid_n)
+        sg_config(args.grid_n)
 
 
 def _make_spec(args):
@@ -184,7 +184,7 @@ def _analyze_input(path, args, out, config) -> bool:
                   post.grid, post.mean, post.lower, post.upper)
 
         if args.baseline:
-            grid, dqdv = baseline.fd_dqdv(curve, baseline.SgConfig(resample_n=args.grid_n))
+            grid, dqdv = baseline.fd_dqdv(curve, sg_config(args.grid_n))
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .derivative import DerivativePosterior
 from .errors import GridDoesNotReachThreshold
@@ -99,6 +98,48 @@ def _refine_quadratic(grid, mean, idx):
     return v_peak, height
 
 
+def _prominent_maxima(x, floor):
+    """The indices and prominences that ``scipy.signal.find_peaks(x,
+    prominence=floor)`` returns, bit for bit, for ``x`` of at least one sample.
+
+    A local maximum is a run of equal samples that rises from the sample
+    before it and falls to the sample after it; a run touching either end
+    never counts.  A flat top yields its middle sample, rounded down.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    tops = x[starts]
+    is_peak = (tops[:-2] < tops[1:-1]) & (tops[2:] < tops[1:-1])
+    peaks = ((starts[1:-1] + starts[2:] - 1) // 2)[is_peak]
+    prominences = _prominences(x, peaks)
+    keep = prominences >= floor
+    return peaks[keep], prominences[keep]
+
+
+def _prominences(x, peaks):
+    """Prominence of each of ``peaks`` in ``x``, as scipy.signal.peak_prominences
+    computes it with no window.
+
+    Each base search runs outward from the peak until a sample that is
+    higher or NaN (a stop), or the end of ``x``; the prominence is the peak's
+    height less the higher of the two minima passed.  A NaN pad at each end
+    puts a stop on both sides of every peak, so the stops of all peaks,
+    flattened row by row, bracket each peak within its own row.  The stops
+    come from one (peaks x samples) comparison, which stays small because a
+    posterior mean has few local maxima.
+    """
+    padded = np.concatenate(([np.nan], x, [np.nan]))
+    heights = x[peaks]
+    stops = np.flatnonzero(~(padded <= heights[:, None]))
+    row = np.arange(len(peaks)) * len(padded)
+    top = peaks + 1  # the peak's index in ``padded``
+    after = np.searchsorted(stops, row + top)
+    lo = stops[after - 1] + 1 - row
+    hi = stops[after] - row
+    # the minima of padded[lo:top + 1] and padded[top:hi] for each peak
+    mins = np.minimum.reduceat(padded, np.stack((lo, top + 1, top, hi), axis=1).ravel())
+    return heights - np.maximum(mins[0::4], mins[2::4])
+
+
 def find_peaks(
     post: DerivativePosterior,
     min_prominence_frac: float = MIN_PROMINENCE_FRAC_DEFAULT,
@@ -107,9 +148,10 @@ def find_peaks(
 
     The prominence floor is ``min_prominence_frac`` times the peak-to-peak
     range of the mean; locations are refined by quadratic interpolation.
-    Endpoints are never candidates: scipy only returns a sample whose two
-    direct neighbours are both lower.  Each candidate's band half-width is
-    the posterior's own, read at the sample where scipy found the maximum.
+    Maxima and prominences follow scipy.signal.find_peaks bit for bit, so
+    endpoints are never candidates: a maximum is a run of equal samples with
+    a lower sample on each side.  Each candidate's band half-width is the
+    posterior's own, read at the sample where the maximum was found.
     """
     mean = post.mean
     if len(mean) < MIN_GRID_N:
@@ -117,11 +159,10 @@ def find_peaks(
     rng = float(np.max(mean) - np.min(mean))
     if rng <= 0:
         return []
-    floor = min_prominence_frac * rng
-    idxs, props = _scipy_find_peaks(mean, prominence=floor)
+    idxs, prominences = _prominent_maxima(mean, min_prominence_frac * rng)
 
     out = []
-    for n, idx in enumerate(idxs):
+    for idx, prominence in zip(idxs.tolist(), prominences.tolist()):
         v_peak, magnitude = _refine_quadratic(post.grid, mean, idx)
         if magnitude <= 0:
             continue
@@ -130,8 +171,8 @@ def find_peaks(
                 v_peak=v_peak,
                 magnitude=magnitude,
                 band_halfwidth=float(post.halfwidth[idx]),
-                prominence=float(props["prominences"][n]),
-                index=int(idx),
+                prominence=prominence,
+                index=idx,
             )
         )
     out.sort(key=lambda p: p.v_peak)

@@ -43,6 +43,7 @@ MIN_POINTS = 4  # fewest Q(V) points a cleaned curve may keep
 CC_TOL_DEFAULT = 0.02
 OVER_CAPACITY_FACTOR = 1.5  # CC charge above this many nominal capacities is flagged
 SECONDS_PER_HOUR = 3600.0
+_INT64 = np.iinfo(np.int64)  # the range of a cycle label
 
 
 TIME_COL = "time_s"
@@ -106,9 +107,10 @@ class QVCurve:
 def parse_log(path) -> ChargeLog:
     """Parse a charging-log CSV (gzip if the name ends in .gz) into a validated ChargeLog.
 
-    Rows with non-finite or unparseable fields are skipped and reported in
-    ``rejected_rows`` (1-based data-row indices).  Raises MalformedHeader,
-    NonMonotonicTime (first offending row), or EmptyLog.
+    Rows with non-finite or unparseable fields, or a cycle label beyond
+    int64, are skipped and reported in ``rejected_rows`` (1-based data-row
+    indices).  Raises MalformedHeader, NonMonotonicTime (first offending
+    row), or EmptyLog.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8-sig") as fh:
@@ -127,10 +129,11 @@ def parse_log(path) -> ChargeLog:
         iv = header.index(VOLTAGE_COL)
         ic = header.index(CYCLE_COL) if CYCLE_COL in header else None
 
-        t, i_, v, cyc, rejected = [], [], [], [], []
+        t, i_, v, cyc, rejected, blank = [], [], [], [], [], []
         last_t = {}
         for row_num, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
+                blank.append(row_num)
                 continue
             try:
                 tv = float(row[it])
@@ -150,7 +153,8 @@ def parse_log(path) -> ChargeLog:
             if not (math.isfinite(tv) and math.isfinite(iv_) and math.isfinite(vv)):
                 rejected.append(row_num)
                 continue
-            if cv in last_t and tv <= last_t[cv]:
+            if cv in last_t and tv <= last_t[cv] and _INT64.min <= cv <= _INT64.max:
+                # a label beyond int64 is rejected below, so its rows set no order
                 raise NonMonotonicTime(row_num)
             last_t[cv] = tv
             t.append(tv)
@@ -158,15 +162,37 @@ def parse_log(path) -> ChargeLog:
             v.append(vv)
             cyc.append(cv)
 
-    if not t:
+    cycle = None
+    if ic is not None:
+        try:
+            cycle = np.array(cyc, dtype=np.int64)
+        except OverflowError:
+            t, i_, v, cycle, rejected = _reject_wide_labels(t, i_, v, cyc, rejected, blank)
+    if len(t) == 0:
         raise EmptyLog("no valid samples")
     return ChargeLog(
         t=np.array(t),
         i=np.array(i_),
         v=np.array(v),
-        cycle=np.array(cyc) if ic is not None else None,
+        cycle=cycle,
         rejected_rows=tuple(rejected),
     )
+
+
+def _reject_wide_labels(t, i, v, cyc, rejected, blank):
+    """Move the rows whose cycle label lies beyond int64 into ``rejected``.
+
+    Called only when building the label array overflows, so that logs with
+    in-range labels pay no per-row check.  Returns the kept t, i, v and
+    int64 labels, and the rejected rows in order.
+    """
+    fits = np.array([_INT64.min <= c <= _INT64.max for c in cyc], dtype=bool)
+    # each data row was blank, rejected or kept
+    n_rows = len(cyc) + len(rejected) + len(blank)
+    kept_rows = np.setdiff1d(np.arange(1, n_rows + 1), rejected + blank)
+    rejected = sorted(rejected + kept_rows[~fits].tolist())
+    cycle = np.array([c for c, ok in zip(cyc, fits) if ok], dtype=np.int64)
+    return np.array(t)[fits], np.array(i)[fits], np.array(v)[fits], cycle, rejected
 
 
 def write_csv(path, header, *columns):

@@ -12,7 +12,7 @@ from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, derivative_posterior
 from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
 
-__all__ = ["analyze_curve", "log_to_curves", "paired_trial"]
+__all__ = ["analyze_curve", "log_to_curves", "paired_trial", "sg_config"]
 
 
 def analyze_curve(
@@ -54,6 +54,13 @@ def log_to_curves(
     return curves
 
 
+def sg_config(grid_n: int) -> baseline.SgConfig:
+    """The SG comparator's settings for a GP grid of ``grid_n`` points: it
+    resamples onto as many points, so the two methods are read on matched
+    grids.  Raises ValueError when ``grid_n`` is below the SG window."""
+    return baseline.SgConfig(resample_n=grid_n)
+
+
 INTERIOR_FRAC = 0.05  # fraction of the voltage span excluded at each edge
 
 
@@ -77,7 +84,7 @@ def paired_trial(
     plating bump exists), and empirical credible-band coverage.
     """
     spec = replace(spec, seed=seed)
-    sg_cfg = sg_cfg or baseline.SgConfig(resample_n=grid_n)
+    sg_cfg = sg_cfg or sg_config(grid_n)
 
     log = synth.generate_cycle(spec, 1)
     curves = log_to_curves(

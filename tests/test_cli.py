@@ -134,6 +134,17 @@ def test_analyze_bad_input_does_not_stop_the_others(tmp_path, capsys):
     assert doc["cycles"][0]["verdict"] == "Plating"
 
 
+def test_analyze_reads_on_past_a_cycle_label_beyond_int64(tmp_path):
+    good = _run_synth(tmp_path, "--n-samples", "100")
+    header, *rows = good.read_text().splitlines()
+    wide = tmp_path / "wide.csv"
+    wide.write_text("\n".join([header, "0,0.1,3.0,99999999999999999999", *rows, ""]))
+    out = tmp_path / "report"
+    assert main(["analyze", str(wide), str(good), "--out", str(out)]) == 0
+    assert json.loads((out / "wide_report.json").read_text())["cycles"][0]["cycle"] == 1
+    assert json.loads((out / "log_report.json").read_text())["cycles"][0]["cycle"] == 1
+
+
 def test_analyze_failed_input_outranks_unassessable(tmp_path):
     bad = _cut_cycle_2_log(tmp_path)
     good = _run_synth(tmp_path, "--n-samples", "100")

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dqdv_gp.derivative import DerivativePosterior
-from dqdv_gp.detect import PeakCandidate, classify, find_peaks
+from dqdv_gp.detect import PeakCandidate, _prominent_maxima, classify, find_peaks
 from dqdv_gp.errors import GridDoesNotReachThreshold
 
 
@@ -74,6 +77,29 @@ class TestFindPeaks:
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError, match="at least 5"):
             find_peaks(_post(GRID[:4], np.zeros(4), 1e-5))
+
+
+_SIZES = {"min_size": 1, "max_size": 60}
+_ARRAYS = st.one_of(
+    # any float64, NaN and infinities included
+    st.lists(st.floats(width=64), **_SIZES),
+    # few distinct values: plateaus everywhere, at the ends too
+    st.lists(st.integers(-2, 2).map(float), **_SIZES),
+    # rounded random walks: plateaus on slopes and repeated heights
+    st.lists(st.floats(-1.0, 1.0), **_SIZES).map(lambda s: np.round(np.cumsum(s), 1)),
+)
+
+
+# near the float64 limits a prominence overflows to inf, as scipy's does in C
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@given(x=_ARRAYS, floor=st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+@settings(max_examples=600, deadline=None)
+def test_prominent_maxima_match_scipy(x, floor):
+    x = np.asarray(x, dtype=float)
+    peaks, props = scipy.signal.find_peaks(x, prominence=floor)
+    idxs, prominences = _prominent_maxima(x, floor)
+    assert np.array_equal(idxs, peaks)
+    assert np.array_equal(prominences, props["prominences"])
 
 
 class TestClassify:

@@ -1,13 +1,19 @@
-"""Import hygiene: no module keeps an import it never uses, and every name a
-module exports in ``__all__`` exists."""
+"""Import hygiene: no module keeps an import it never uses, every name a
+module exports in ``__all__`` exists, and only the SG comparator loads
+``scipy.signal``."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import dqdv_gp
+from dqdv_gp.ingest import write_log
+from dqdv_gp.synth import generate_log, plating_spec
 
 PACKAGE_DIR = Path(dqdv_gp.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py"))
@@ -44,3 +50,34 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module("dqdv_gp" if name == "__init__" else f"dqdv_gp.{name}")
     missing = [n for n in _exported(_tree(name)) if not hasattr(module, n)]
     assert missing == []
+
+
+def _heavy_modules_after(code):
+    """The scipy.signal and scipy.stats modules that a fresh interpreter has
+    loaded after running ``code``; tier-1 itself loads both, so the check
+    needs a process of its own."""
+    script = code + (
+        "\nimport sys\n"
+        "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+    )
+    paths = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=300)
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy_signal():
+    assert _heavy_modules_after("import dqdv_gp.cli") == "[]"
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    ([], "[]"),
+    (["--baseline"], "['scipy.signal', 'scipy.stats']"),
+])
+def test_only_the_sg_comparator_loads_scipy_signal(tmp_path, flags, loaded):
+    log = tmp_path / "log.csv"
+    write_log(generate_log(plating_spec(n_samples=100, seed=1)), log)
+    argv = ["analyze", str(log), "--out", str(tmp_path / "out"), *flags]
+    code = f"from dqdv_gp.cli import main\nassert main({argv!r}) == 0"
+    assert _heavy_modules_after(code) == loaded

@@ -64,6 +64,22 @@ class TestParseLog:
         assert list(log.cycle) == [1, 1, 2, 2]
         assert log.rejected_rows == (3, 5, 6)
 
+    @pytest.mark.parametrize(
+        "label", ["99999999999999999999", "1e300", "-9223372036854775809"])
+    def test_cycle_label_beyond_int64_is_rejected(self, tmp_path, label):
+        log = parse_log(
+            _csv(
+                tmp_path,
+                "time_s,current_a,voltage_v,cycle\n"
+                f"0,0.1,3.0,1\n5,0.1,3.1,{label}\n1,0.1,3.1,x\n\n"
+                f"2,0.1,3.2,1\n4,0.1,3.2,{label}\n3,0.1,3.3,9223372036854775807\n"
+            )
+        )
+        # the label's time going backwards raises nothing: its rows are rejected
+        assert list(log.cycle) == [1, 1, 2**63 - 1]
+        assert log.rejected_rows == (2, 3, 6)
+        np.testing.assert_array_equal(log.t, [0.0, 2.0, 3.0])
+
     def test_missing_column(self, tmp_path):
         with pytest.raises(MalformedHeader, match="voltage_v"):
             parse_log(_csv(tmp_path, "time_s,current_a\n0,1\n"))
