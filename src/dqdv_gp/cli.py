@@ -163,6 +163,8 @@ def _analyze_input(path, args, out, config) -> bool:
 
     cycle_reports = []
     unassessable = []
+    # each cycle's fit starts from the last optimum fitted in this input
+    start = None
     for curve in curves:
         if curve.over_capacity:
             print(f"warning: {path}: cycle {curve.cycle}: CC charge above "
@@ -175,10 +177,12 @@ def _analyze_input(path, args, out, config) -> bool:
                 grid_n=args.grid_n,
                 level=args.level,
                 threshold_v=args.threshold_v,
+                start=start,
             )
         except GridDoesNotReachThreshold as exc:
             unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
             continue
+        start = model.hp
 
         write_csv(out / f"{tag}_dqdv_gp.csv", ["voltage_v", "mean", "lower", "upper"],
                   post.grid, post.mean, post.lower, post.upper)
@@ -188,11 +192,20 @@ def _analyze_input(path, args, out, config) -> bool:
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 
-        cycle_reports.append({**report.to_dict(), "hyperparams": model.hp.to_dict()})
+        cycle_reports.append({
+            **report.to_dict(),
+            "hyperparams": model.hp.to_dict(),
+            "fit_start": model.fit_start,
+            "over_capacity": curve.over_capacity,
+        })
 
     doc = {
         "config": config,
-        "input": {"path": str(path), "sha256": _sha256(path)},
+        "input": {
+            "path": str(path),
+            "sha256": _sha256(path),
+            "rejected_rows": list(log.rejected_rows),
+        },
         "cycles": cycle_reports,
         "unassessable": unassessable,
     }

@@ -2,8 +2,8 @@
 
 Conditioning on training data, log marginal likelihood with analytic
 gradients in log-hyperparameter space, and quasi-Newton hyperparameter
-optimization from the best of several starts, all with the
-rational-quadratic kernel of ``kernel``.
+optimization from a given warm start or the best of several default starts,
+all with the rational-quadratic kernel of ``kernel``.
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -37,6 +37,11 @@ MAX_ITER = 200
 # many nats; the test is absolute, so where it stops depends on neither the
 # number of points nor the unit of Q (both shift |LML| by thousands of nats)
 LML_TOL = 3e-6
+
+# a warm ascent, which starts near the optimum, stops only after this many
+# such iterations in a row: one quiet iteration moved a warm refit's band
+# half-width by up to 1.2e-3 relative from the cold fit, two by 5.8e-4
+WARM_QUIET_ITERS = 2
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,9 @@ class FittedGP:
     The factorization lives in standardized units: chol is the lower factor
     of K(X,X) + (sigma_n^2 + jitter) I built from ``hp_internal`` over
     centered inputs, and weights = Kn^-1 y solves it against the
-    standardized targets.  ``hp.alpha`` is the RQ shape.
+    standardized targets.  ``hp.alpha`` is the RQ shape.  ``fit_start`` is
+    "warm" when ``fit`` kept the ascent from the start it was given, and
+    "cold" when it ran the default starts.
     Immutable and safe to share across threads.
     """
 
@@ -94,6 +101,7 @@ class FittedGP:
     chol: np.ndarray
     weights: np.ndarray
     lml: float
+    fit_start: str
 
     @property
     def xs_centered(self):
@@ -209,11 +217,12 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
     return lml, np.array(grad)
 
 
-def _condition(train: TrainingSet, hp: Hyperparams) -> FittedGP:
+def _condition(train: TrainingSet, hp: Hyperparams, fit_start: str) -> FittedGP:
     hp_i = _internal_hp(train, hp)
     xs_c = train.xs - train.x_mean
     chol, weights, lml = _factor(train, hp_i, kernel_matrix(xs_c, xs_c, hp_i, "VV"))
-    return FittedGP(hp=hp, train=train, chol=chol, weights=weights, lml=lml)
+    return FittedGP(hp=hp, train=train, chol=chol, weights=weights, lml=lml,
+                    fit_start=fit_start)
 
 
 def default_inits(train: TrainingSet) -> list[Hyperparams]:
@@ -224,36 +233,37 @@ def default_inits(train: TrainingSet) -> list[Hyperparams]:
     return [Hyperparams(f * span, s, 0.01 * s) for f in (0.02, 0.05, 0.10, 0.20, 0.40)]
 
 
-def _stop_below_tol(f0):
-    """L-BFGS-B callback that halts the ascent begun at -LML ``f0`` after the
-    first iteration that gains at most LML_TOL nats."""
-    last = f0
+def _stop_when_quiet(f0, quiet):
+    """L-BFGS-B callback that halts the ascent begun at -LML ``f0`` after
+    ``quiet`` iterations in a row that each gain at most LML_TOL nats."""
+    last, run = f0, 0
 
     def callback(intermediate_result):
-        nonlocal last
+        nonlocal last, run
         gain, last = last - intermediate_result.fun, intermediate_result.fun
-        if gain <= LML_TOL:
+        run = run + 1 if gain <= LML_TOL else 0
+        if run >= quiet:
             raise StopIteration
 
     return callback
 
 
-def fit(train: TrainingSet, init=None) -> FittedGP:
+def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     """Maximize the LML with L-BFGS-B in log-hyperparameter space.
 
-    Evaluates the LML at every initialization and ascends from the best one.
-    An ascent stops after the first iteration that gains at most LML_TOL
-    nats.  The other starts are ascended, best first, only while the latest
-    ascent fails (no finite LML, or the iteration budget runs out) or ends
-    with a hyperparameter on a bound.  Returns the conditioned model at the
-    point with the highest LML evaluated, starts included.  The RQ shape
-    alpha is optimized next to l, sigma_f and sigma_n.
+    With ``start`` (say the previous cycle's optimum), scores that point and
+    ascends from it, stopping after WARM_QUIET_ITERS iterations in a row that
+    each gain at most LML_TOL nats.  Without it, or when that ascent fails
+    (no finite LML, or the iteration budget runs out) or ends with a
+    hyperparameter on a bound, scores the ``default_inits`` and ascends from
+    the best one, stopping after the first iteration that gains at most
+    LML_TOL nats.  The other default starts are ascended, best first, only
+    while the latest ascent fails or ends on a bound.  Returns the
+    conditioned model at the point with the highest LML evaluated, starts
+    included.  The RQ shape alpha is optimized next to l, sigma_f and sigma_n.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
-    inits = list(init) if init is not None else default_inits(train)
-    if not inits:
-        raise ValueError("at least one initialization is required")
     span = float(train.xs[-1] - train.xs[0]) or 1.0
     s = train.y_std
     bounds = [
@@ -285,45 +295,58 @@ def fit(train: TrainingSet, init=None) -> FittedGP:
         f, g = scored[key]
         return f, g.copy()
 
-    starts = []
-    for hp0 in inits:
+    def score(hp0):
+        """(-LML, log-hyperparameters) of a start, clipped into the bounds."""
         theta0 = [hp0.length_scale, hp0.signal_std, max(hp0.noise_std, 1e-8 * s), hp0.alpha]
         x0 = np.clip(np.log(theta0), lo, hi)
-        starts.append((neg_lml(x0)[0], x0))
-    # stable sort: ties keep the caller's order, so the fit stays deterministic
-    starts = [st for st in sorted(starts, key=lambda st: st[0]) if st[0] < _PENALTY]
-    if not starts:
-        raise AllStartsFailed("every optimization start failed")
+        return neg_lml(x0)[0], x0
 
-    for f0, x0 in starts:
+    def ascend(f0, x0, quiet):
+        """Ascend from a scored start; True unless the ascent failed or
+        ended with a hyperparameter on a bound."""
         res = minimize(
             neg_lml,
             x0,
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            callback=_stop_below_tol(f0),
+            callback=_stop_when_quiet(f0, quiet),
             # zero switches off L-BFGS-B's own tests (ftol, relative to
             # |LML|, and gtol on the projected gradient): the callback stops
             options={"maxiter": MAX_ITER, "gtol": 0.0, "ftol": 0.0},
         )
         # status 1 is the iteration budget running out.  Any other status
-        # ends at the optimum the ascent can resolve: 99 is the LML_TOL stop
+        # ends at the optimum the ascent can resolve: 99 is the quiet stop
         # (scipy's code for a callback halt), 2 a line search that cannot
-        # improve at the precision of the gradient.  With all five starts
-        # ascended on plating and no-plating seeds 0-99, every status-2 run
-        # ended within 6.6e-6 nats of the best of the five, and 861 of the
-        # 865 LML_TOL stops within 1e-5 (the worst 4.0e-5 short, on the
-        # ridge in alpha)
+        # improve at the precision of the gradient.  With all five cold
+        # starts ascended on plating and no-plating seeds 0-99, every
+        # status-2 run ended within 6.6e-6 nats of the best of the five, and
+        # 861 of the 865 one-quiet stops within 1e-5 (the worst 4.0e-5
+        # short, on the ridge in alpha).  A warm start is already near the
+        # optimum, where one quiet iteration can be a lull on that ridge, so
+        # its ascent waits for WARM_QUIET_ITERS
         converged = res.status != 1 and res.fun < _PENALTY
-        if converged and not np.any((res.x <= lo) | (res.x >= hi)):
-            break
+        return converged and not np.any((res.x <= lo) | (res.x >= hi))
+
+    warm = False
+    if start is not None:
+        f0, x0 = score(start)
+        warm = f0 < _PENALTY and ascend(f0, x0, WARM_QUIET_ITERS)
+    if not warm:
+        # stable sort: ties keep default_inits' order, so the fit stays deterministic
+        starts = sorted((score(hp0) for hp0 in default_inits(train)), key=lambda st: st[0])
+        for f0, x0 in starts:
+            if f0 < _PENALTY and ascend(f0, x0, 1):
+                break
     # neg_lml holds the buffers through its closure cell; drop them before
     # conditioning allocates its own n x n arrays
     work = None
     # min keeps the first of equal values, so ties go to the earliest point
-    best_x = np.frombuffer(min(scored, key=lambda point: scored[point][0]))
-    return _condition(train, Hyperparams(*np.exp(best_x)))
+    best_key = min(scored, key=lambda point: scored[point][0])
+    if scored[best_key][0] >= _PENALTY:
+        raise AllStartsFailed("every optimization start failed")
+    best_x = np.frombuffer(best_key)
+    return _condition(train, Hyperparams(*np.exp(best_x)), "warm" if warm else "cold")
 
 
 def posterior_mean(model: FittedGP, grid):

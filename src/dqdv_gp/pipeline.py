@@ -11,6 +11,7 @@ from . import baseline, detect, ingest, synth
 from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, derivative_posterior
 from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
+from .kernel import Hyperparams
 
 __all__ = ["analyze_curve", "log_to_curves", "paired_trial", "sg_config"]
 
@@ -20,13 +21,16 @@ def analyze_curve(
     grid_n: int = DEFAULT_GRID_N,
     level: float = DEFAULT_LEVEL,
     threshold_v: float = detect.THRESHOLD_V_DEFAULT,
+    start: Hyperparams | None = None,
 ):
     """Fit, differentiate, and classify one cycle.
 
-    Returns (model, posterior, report); classification errors propagate.
-    The report holds no hyperparameters: ``model.hp`` has them.
+    ``start`` is passed to ``fit``: hyperparameters to ascend from, such as
+    the previous cycle's ``model.hp``.  Returns (model, posterior, report);
+    classification errors propagate.  The report holds no hyperparameters:
+    ``model.hp`` has them.
     """
-    model = fit(TrainingSet(xs=curve.v, ys=curve.q))
+    model = fit(TrainingSet(xs=curve.v, ys=curve.q), start)
     grid = np.linspace(curve.v[0], curve.v[-1], grid_n)
     post = derivative_posterior(model, grid, level)
     report = detect.classify(

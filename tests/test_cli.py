@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqdv_gp import cli
 from dqdv_gp.cli import main
 from dqdv_gp.ingest import ChargeLog, write_log
 from dqdv_gp.synth import generate_log, plating_spec
@@ -43,7 +44,10 @@ def test_analyze_end_to_end(tmp_path):
     assert len(doc["input"]["sha256"]) == 64
     assert doc["unassessable"] == []
     (cyc,) = doc["cycles"]
-    assert set(cyc) == {"cycle", "verdict", "threshold_v", "peaks", "hyperparams", "grid"}
+    assert set(cyc) == {"cycle", "verdict", "threshold_v", "peaks", "hyperparams", "grid",
+                        "fit_start", "over_capacity"}
+    assert cyc["fit_start"] == "cold"
+    assert doc["input"]["rejected_rows"] == []
     assert set(cyc["hyperparams"]) == {"length_scale", "signal_std", "noise_std", "alpha"}
     assert cyc["verdict"] == "Plating"
     peak = max(cyc["peaks"], key=lambda p: p["magnitude"])
@@ -103,6 +107,45 @@ def test_analyze_warns_on_over_capacity_cycles(tmp_path, capsys, capacity, n_war
         f"warning: {log}: cycle {c}: CC charge above 1.5 x --capacity"
         for c in range(1, n_warnings + 1)
     ]
+
+
+def test_report_keeps_rejected_rows_and_over_capacity_flags(tmp_path):
+    # cycle 2 fades to half of cycle 1's 0.045 Ah; --capacity 0.02 flags
+    # only cycle 1 (above 1.5 x 0.02 Ah)
+    log = _run_synth(tmp_path, "--n-cycles", "2", "--n-samples", "100",
+                     "--fade-rate", "0.5")
+    header, *rows = log.read_text().splitlines()
+    rows[2] = "nan,0.1,3.0,1"
+    rows.insert(6, "not,a,row,1")
+    bad = tmp_path / "bad_rows.csv"
+    bad.write_text("\n".join([header, *rows, ""]))
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "--out", str(out), "--capacity", "0.02"]) == 0
+    doc = json.loads((out / "bad_rows_report.json").read_text())
+    assert doc["input"]["rejected_rows"] == [3, 7]
+    assert [c["over_capacity"] for c in doc["cycles"]] == [True, False]
+
+
+def test_analyze_starts_each_fit_from_the_previous_cycle(tmp_path, monkeypatch):
+    seen = []
+    analyze_curve = cli.analyze_curve
+
+    def recorded(*args, **kwargs):
+        model, post, report = analyze_curve(*args, **kwargs)
+        seen.append((kwargs.get("start"), model.hp))
+        return model, post, report
+
+    monkeypatch.setattr(cli, "analyze_curve", recorded)
+    log = _run_synth(tmp_path, "--n-cycles", "3", "--n-samples", "150")
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert main(["analyze", str(log), "--out", str(out1)]) == 0
+    starts, hps = zip(*seen)
+    assert starts == (None, hps[0], hps[1])
+    doc = json.loads((out1 / "log_report.json").read_text())
+    assert [c["fit_start"] for c in doc["cycles"]] == ["cold", "warm", "warm"]
+    # warm refits keep identical runs byte-identical
+    assert main(["analyze", str(log), "--out", str(out2)]) == 0
+    assert (out1 / "log_report.json").read_bytes() == (out2 / "log_report.json").read_bytes()
 
 
 def test_analyze_malformed_header_is_error(tmp_path):

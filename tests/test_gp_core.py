@@ -7,6 +7,7 @@ and a direct solve, with no shared code path.
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,9 +227,8 @@ def test_posterior_mean_reverts_to_training_mean_far_away():
 
 def test_fit_never_worse_than_inits():
     train = _toy_train(50, seed=3)
-    inits = default_inits(train)
-    model = fit(train, init=inits)
-    for hp0 in inits:
+    model = fit(train)
+    for hp0 in default_inits(train):
         lml0, _ = log_marginal_likelihood(train, hp0)
         assert model.lml >= lml0 - 1e-9
 
@@ -441,3 +441,102 @@ def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
     model = fit(train)
     assert model.lml >= max(v for v in values if np.isfinite(v))
+
+
+def test_two_quiet_stop_waits_for_two_quiet_iterations_in_a_row():
+    quiet_gain = 0.5 * gp_core.LML_TOL
+    one, two = gp_core._stop_when_quiet(0.0, 1), gp_core._stop_when_quiet(0.0, 2)
+    f = 0.0
+    # a quiet iteration that follows a gain does not stop the two-quiet ascent
+    for gain in (1.0, quiet_gain, 1e-3, quiet_gain):
+        f -= gain
+        two(SimpleNamespace(fun=f))
+    with pytest.raises(StopIteration):
+        two(SimpleNamespace(fun=f - quiet_gain))
+    one(SimpleNamespace(fun=-1.0))
+    with pytest.raises(StopIteration):
+        one(SimpleNamespace(fun=-1.0 - quiet_gain))
+
+
+def _gate_failures(cold, warm):
+    """What a warm refit breaks of the gate against the cold fit of the same
+    cycle: verdict, peak count, peaks within 1e-6 V, half-widths within 1e-3
+    relative, means within 1e-4 of their maximum."""
+    (_, post_c, rep_c), (_, post_w, rep_w) = cold, warm
+    fails = []
+    if rep_w.verdict != rep_c.verdict:
+        fails.append("verdict")
+    peaks_c, peaks_w = [p.v_peak for p in rep_c.peaks], [p.v_peak for p in rep_w.peaks]
+    if len(peaks_w) != len(peaks_c):
+        fails.append("peak count")
+    elif np.any(np.abs(np.subtract(peaks_w, peaks_c)) > 1e-6):
+        fails.append("peaks")
+    if np.max(np.abs(post_w.halfwidth - post_c.halfwidth) / post_c.halfwidth) > 1e-3:
+        fails.append("half-widths")
+    if np.max(np.abs(post_w.mean - post_c.mean)) > 1e-4 * np.max(np.abs(post_c.mean)):
+        fails.append("means")
+    return fails
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+def test_warm_refits_meet_the_gate_against_cold_fits(make_spec):
+    # each later cycle is refitted from the previous cycle's optimum, as
+    # analyze chains them, and compared with a fit that has no start
+    spec = make_spec(n_cycles=3, n_samples=3000, fade_rate=0.02, seed=0)
+    curves = log_to_curves(synth.generate_log(spec), vmin=spec.v_range[0],
+                           vmax=spec.v_range[1], capacity_ah=spec.capacity,
+                           max_points=250)
+    assert len(curves) == 3 and all(len(curve) <= 250 for curve in curves)
+    start = None
+    for curve in curves:
+        warm = analyze_curve(curve, start=start)
+        if start is None:
+            assert warm[0].fit_start == "cold"
+        else:
+            assert warm[0].fit_start == "warm"
+            cold = analyze_curve(curve)
+            assert cold[0].fit_start == "cold"
+            assert _gate_failures(cold, warm) == [], curve.cycle
+        start = warm[0].hp
+
+
+def test_start_whose_lml_fails_gives_the_cold_fit(monkeypatch):
+    train = _toy_train(50, seed=0)
+    cold = fit(train)
+    calls = []
+    lml = gp_core.log_marginal_likelihood
+
+    def failing_first(train, hp, *rest):
+        # the start is the first point a fit with a start scores
+        calls.append(hp)
+        if len(calls) == 1:
+            raise FactorizationFailure("start")
+        return lml(train, hp, *rest)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", failing_first)
+    start = Hyperparams(0.3, 2.0 * train.y_std, 0.05 * train.y_std, 3.0)
+    model = fit(train, start=start)
+    assert model.fit_start == "cold"
+    assert model.hp == cold.hp
+    assert model.lml == cold.lml
+    assert np.array_equal(model.chol, cold.chol)
+    assert np.array_equal(model.weights, cold.weights)
+
+
+def test_start_that_stays_on_a_bound_falls_back_to_the_cold_starts(monkeypatch):
+    # this toy set's optimum has alpha on its upper bound, 1e3
+    train = _toy_train(50, seed=3)
+    cold = fit(train)
+    assert cold.hp.alpha == pytest.approx(1e3)
+    ascents = []
+
+    def counted(*args, **kwargs):
+        ascents.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(gp_core, "minimize", counted)
+    model = fit(train, start=replace(cold.hp, alpha=1e3))
+    assert model.fit_start == "cold"
+    assert len(ascents) >= 2    # the warm ascent, then the cold ones
+    assert model.lml >= cold.lml
+
