@@ -190,7 +190,6 @@ def _band_separated(post: DerivativePosterior, peak_idx: int) -> bool:
 def classify(
     post: DerivativePosterior,
     threshold_v: float = THRESHOLD_V_DEFAULT,
-    min_prominence_frac: float = MIN_PROMINENCE_FRAC_DEFAULT,
     cycle: int = 0,
 ) -> PlatingReport:
     """Classify one cycle by the above-threshold differential-peak signature.
@@ -208,7 +207,7 @@ def classify(
             f"grid ends at {float(post.grid[-1]):.3f} V <= threshold {threshold_v} V"
         )
 
-    candidates = find_peaks(post, min_prominence_frac)
+    candidates = find_peaks(post)
     above = [p for p in candidates if p.v_peak > threshold_v]
 
     any_significant = any(_band_separated(post, p.index) for p in above)

@@ -3,7 +3,7 @@
 Conditioning on training data, log marginal likelihood with analytic
 gradients in log-hyperparameter space, and quasi-Newton hyperparameter
 optimization from a given warm start or the best of several default starts,
-all with the rational-quadratic kernel of ``kernel``.
+all with the kernel and hyperparameter table (``PARAMS``) of ``kernel``.
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -20,7 +20,7 @@ from scipy.linalg import blas, lapack
 from scipy.optimize import minimize
 
 from .errors import AllStartsFailed, FactorizationFailure, NonFinite
-from .kernel import Hyperparams, jitter_for, kernel_matrix, log_param_grads
+from .kernel import PARAMS, Hyperparams, jitter_for, kernel_matrix, log_param_grads
 
 __all__ = ["TrainingSet", "FittedGP", "log_marginal_likelihood", "fit", "posterior_mean"]
 
@@ -90,10 +90,9 @@ class FittedGP:
     The factorization lives in standardized units: chol is the lower factor
     of K(X,X) + (sigma_n^2 + jitter) I built from ``hp_internal`` over
     centered inputs, and weights = Kn^-1 y solves it against the
-    standardized targets.  ``hp.alpha`` is the RQ shape.  ``fit_start`` is
-    "warm" when ``fit`` kept the ascent from the start it was given, and
-    "cold" when it ran the default starts.
-    Immutable and safe to share across threads.
+    standardized targets.  ``fit_start`` is "warm" when ``fit`` kept the
+    ascent from the start it was given, and "cold" when it ran the default
+    starts.  Immutable and safe to share across threads.
     """
 
     hp: Hyperparams
@@ -115,7 +114,12 @@ class FittedGP:
 
 def _internal_hp(train, hp):
     s = train.y_std
-    return replace(hp, signal_std=hp.signal_std / s, noise_std=hp.noise_std / s)
+    return replace(hp, **{p.name: getattr(hp, p.name) / s for p in PARAMS if p.unit == "Ah"})
+
+
+def _scales(train):
+    """What each unit of ``PARAMS`` is a multiple of, for this training set."""
+    return {"V": float(train.xs[-1] - train.xs[0]) or 1.0, "Ah": train.y_std, "": 1.0}
 
 
 # Every BLAS and LAPACK call of an LML evaluation goes to scipy's library
@@ -125,19 +129,19 @@ def _internal_hp(train, hp):
 # scipy's: on 2 cores, dpotrf of a 300-point Gram took a median 4.7 ms right
 # after an np.vdot over a 300 x 300 array, against 0.79 ms without it.
 #
-# An evaluation needs four n x n arrays: the three outputs of
-# log_param_grads and the noisy Gram matrix, which dpotrf overwrites with the
-# factor and dpotri with Kn^-1.  ``fit`` allocates them once and passes them
-# to every evaluation.  Allocated afresh per call, their pages were faulted
-# in again each time: at n = 300 a call took 673 minor page faults and
-# 1.2-1.7 ms of system time out of 5.5-6.1 ms, against at most 1 fault, no
-# system time and 3.5-3.6 ms with the arrays reused (300 calls at a fitted
-# optimum, 3 repeats, 2 cores).
+# An evaluation needs len(PARAMS) n x n arrays: the outputs of
+# log_param_grads (K and one per shape parameter) and the noisy Gram matrix,
+# which dpotrf overwrites with the factor and dpotri with Kn^-1.  ``fit``
+# allocates them once and passes them to every evaluation.  Allocated afresh
+# per call, their pages were faulted in again each time: at n = 300 a call
+# took 673 minor page faults and 1.2-1.7 ms of system time out of 5.5-6.1
+# ms, against at most 1 fault, no system time and 3.5-3.6 ms with the arrays
+# reused (300 calls at a fitted optimum, 3 repeats, 2 cores).
 
 
 def _workspace(n):
-    """The four n x n arrays one LML evaluation writes into."""
-    return np.empty((4, n, n))
+    """The len(PARAMS) n x n arrays one LML evaluation writes into."""
+    return np.empty((len(PARAMS), n, n))
 
 
 def _factor(train, hp_i, gram):
@@ -186,20 +190,20 @@ def _half_trace(kinv, a, m):
 def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
     """LML of the centered data and its gradient w.r.t. log-hyperparameters.
 
-    Returns (value, grad) with grad ordered (log l, log sigma_f, log sigma_n,
-    log alpha); the value is in natural units (standardization only changes
-    it by the constant N log std).  Raises FactorizationFailure when the
-    noisy Gram matrix is not positive definite after jitter.  ``work`` is
-    four float64 (n, n) C-ordered arrays to compute in, as ``_workspace``
-    makes; their contents are overwritten and do not affect the result.
-    Without it the evaluation allocates its own.
+    Returns (value, grad) with grad in ``PARAMS`` order; the value is in
+    natural units (standardization only changes it by the constant N log
+    std).  Raises FactorizationFailure when the noisy Gram matrix is not
+    positive definite after jitter.  ``work`` is len(PARAMS) float64 (n, n)
+    C-ordered arrays to compute in, as ``_workspace`` makes; their contents
+    are overwritten and do not affect the result.  Without it the
+    evaluation allocates its own.
     """
     if work is None:
         work = _workspace(len(train))
     hp_i = _internal_hp(train, hp)
-    kf, d_ell, d_alpha = log_param_grads(train.xs - train.x_mean, hp_i, out=work[:3])
-    np.copyto(work[3], kf)
-    chol, a, lml = _factor(train, hp_i, work[3])
+    kf, *d_shape = log_param_grads(train.xs - train.x_mean, hp_i, out=work[:-1])
+    np.copyto(work[-1], kf)
+    chol, a, lml = _factor(train, hp_i, work[-1])
 
     # d LML / d theta = 0.5 tr((a a^T - Kn^-1) dKn/dtheta); dpotri writes
     # the lower triangle of Kn^-1 over the factor, which is no longer needed
@@ -207,12 +211,14 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
     if info != 0:
         raise FactorizationFailure(f"noisy Gram matrix is singular (pivot {info})")
 
+    # every kernel is sigma_f^2 times a shape, so dKn / d log sigma_f = 2 Kf;
+    # dKn / d log sigma_n = 2 sigma_n^2 I; each other row takes the next
+    # shape derivative from log_param_grads
     grad = [
-        _half_trace(kinv, a, d_ell),
-        2.0 * _half_trace(kinv, a, kf),    # dKn / d log sigma_f = 2 Kf
-        # dKn / d log sigma_n = 2 sigma_n^2 I
-        hp_i.noise_std**2 * (blas.ddot(a, a) - float(np.trace(kinv))),
-        _half_trace(kinv, a, d_alpha),
+        2.0 * _half_trace(kinv, a, kf) if p.name == "signal_std"
+        else hp_i.noise_std**2 * (blas.ddot(a, a) - float(np.trace(kinv))) if p.name == "noise_std"
+        else _half_trace(kinv, a, d_shape.pop(0))
+        for p in PARAMS
     ]
     return lml, np.array(grad)
 
@@ -226,11 +232,11 @@ def _condition(train: TrainingSet, hp: Hyperparams, fit_start: str) -> FittedGP:
 
 
 def default_inits(train: TrainingSet) -> list[Hyperparams]:
-    """Multi-start initializations: length scales at fixed fractions of the
-    voltage span, signal at the sample std of ys, noise at 1% of it, alpha 1."""
-    span = float(train.xs[-1] - train.xs[0]) or 1.0
-    s = train.y_std
-    return [Hyperparams(f * span, s, 0.01 * s) for f in (0.02, 0.05, 0.10, 0.20, 0.40)]
+    """Multi-start initializations: each parameter's ``PARAMS`` starts times
+    its unit's scale (the voltage span, or the sample std of ys)."""
+    scale = _scales(train)
+    starts = np.broadcast_arrays(*(np.multiply(p.starts, scale[p.unit]) for p in PARAMS))
+    return [Hyperparams(*map(float, theta)) for theta in zip(*starts)]
 
 
 def _stop_when_quiet(f0, quiet):
@@ -260,19 +266,12 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     LML_TOL nats.  The other default starts are ascended, best first, only
     while the latest ascent fails or ends on a bound.  Returns the
     conditioned model at the point with the highest LML evaluated, starts
-    included.  The RQ shape alpha is optimized next to l, sigma_f and sigma_n.
+    included.  ``PARAMS`` gives each log-hyperparameter's bounds.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
-    span = float(train.xs[-1] - train.xs[0]) or 1.0
-    s = train.y_std
-    bounds = [
-        (np.log(1e-4 * span), np.log(10.0 * span)),
-        (np.log(1e-6 * s), np.log(1e3 * s)),
-        (np.log(1e-8 * s), np.log(1.0 * s)),
-        (np.log(1e-2), np.log(1e3)),
-    ]
-    lo, hi = np.array(bounds).T
+    scale = _scales(train)
+    lo, hi = np.log([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS]).T
     work = _workspace(len(train))
     # (-LML, -grad) of every point scored, in the order scored: L-BFGS-B's
     # first call repeats the start it ascends from, which is answered from
@@ -296,9 +295,10 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
         return f, g.copy()
 
     def score(hp0):
-        """(-LML, log-hyperparameters) of a start, clipped into the bounds."""
-        theta0 = [hp0.length_scale, hp0.signal_std, max(hp0.noise_std, 1e-8 * s), hp0.alpha]
-        x0 = np.clip(np.log(theta0), lo, hi)
+        """(-LML, log-hyperparameters) of a start, clipped into the bounds;
+        a zero noise lands on its lower bound."""
+        with np.errstate(divide="ignore"):
+            x0 = np.clip(np.log([getattr(hp0, p.name) for p in PARAMS]), lo, hi)
         return neg_lml(x0)[0], x0
 
     def ascend(f0, x0, quiet):
@@ -309,7 +309,7 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
             x0,
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=list(zip(lo, hi)),
             callback=_stop_when_quiet(f0, quiet),
             # zero switches off L-BFGS-B's own tests (ftol, relative to
             # |LML|, and gtol on the projected gradient): the callback stops

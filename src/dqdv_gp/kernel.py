@@ -17,10 +17,12 @@ conversion happens here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "PARAMS",
     "Hyperparams",
     "k",
     "k_cross",
@@ -31,15 +33,30 @@ __all__ = [
 ]
 
 
+class Param(NamedTuple):
+    """A ``Hyperparams`` field, its unit ("V" scales with the voltage span,
+    "Ah" with std(Q), "" is dimensionless), and in that unit the fit's
+    (lower, upper) bounds and default starts (a single start is shared)."""
+
+    name: str
+    unit: str
+    bounds: tuple[float, float]
+    starts: tuple[float, ...]
+
+
+# the fit's log-hyperparameter vector, in Hyperparams field order
+PARAMS = (
+    Param("length_scale", "V", (1e-4, 10.0), (0.02, 0.05, 0.10, 0.20, 0.40)),
+    Param("signal_std", "Ah", (1e-6, 1e3), (1.0,)),
+    Param("noise_std", "Ah", (1e-8, 1.0), (0.01,)),
+    Param("alpha", "", (1e-2, 1e3), (1.0,)),
+)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
-    """Kernel hyperparameters in natural units.
-
-    length_scale : V, > 0
-    signal_std   : Ah, > 0
-    noise_std    : Ah, >= 0
-    alpha        : dimensionless RQ shape, > 0
-    """
+    """Kernel hyperparameters in natural units, with alpha the RQ shape;
+    ``PARAMS`` gives their units.  noise_std may be 0, the others are > 0."""
 
     length_scale: float
     signal_std: float
@@ -47,14 +64,10 @@ class Hyperparams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.length_scale) and self.length_scale > 0):
-            raise ValueError(f"length_scale must be finite and > 0, got {self.length_scale}")
-        if not (np.isfinite(self.signal_std) and self.signal_std > 0):
-            raise ValueError(f"signal_std must be finite and > 0, got {self.signal_std}")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        for p in PARAMS:
+            v, op = getattr(self, p.name), ">=" if p.name == "noise_std" else ">"
+            if not (np.isfinite(v) and (v >= 0 if op == ">=" else v > 0)):
+                raise ValueError(f"{p.name} must be finite and {op} 0, got {v}")
 
     def to_dict(self):
         return asdict(self)
@@ -125,30 +138,20 @@ def kernel_matrix(xs, xs2, hp: Hyperparams, block: str = "VV"):
 # then holds.  Written as plain expressions (bit for bit the same results) it
 # raised the median LML call when fitting 16 plating cycles of 300 points
 # from 5.07-5.16 ms to 5.54-5.89 ms and cut fits/s by 6-13% (3 alternating
-# runs per side, 2 cores).
-# ``out`` lets a fit pass the same three arrays to every evaluation.  A
-# fresh 300 x 300 float64 array is 720 kB, and its pages are faulted in again
-# on first write: with fresh outputs (and the fresh Gram copy in gp_core) one
-# LML call at n = 300 took 673 minor page faults and 1.2-1.7 ms of system
-# time out of 5.5-6.1 ms; with reused arrays it takes at most 1 fault, no
-# system time and 3.5-3.6 ms (300 calls at a fitted optimum, 3 repeats, 2
-# cores).  The derivative blocks above run once per posterior, so they are
-# plain expressions.
+# runs per side, 2 cores).  The derivative blocks above run once per
+# posterior, so they are plain expressions.
+# ``out`` lets a fit reuse its arrays; gp_core's ``_workspace`` says why.
 def log_param_grads(xs, hp: Hyperparams, out=None):
     """Gram matrix over ``xs`` and its derivatives w.r.t. the shape log-parameters.
 
     Returns [K, dK/d log l, dK/d log alpha], with dk/d log l = k d^2 / (l^2 r)
     = 2 alpha k q and dk/d log alpha = k alpha (q - log r), q = (r-1)/r, from
     one pass that computes u = r - 1 and log r = log1p(u) once.  K equals
-    kernel_matrix(xs, xs, hp, "VV") bit for bit.  (dK/d log sigma_f = 2K
-    needs no kernel-specific code.)  ``out``, if given, is three float64
-    (n, n) arrays that receive the results in that order and are
-    returned; their contents do not affect the results.
+    kernel_matrix(xs, xs, hp, "VV") bit for bit.  ``out``, if given, is
+    three float64 (n, n) arrays that receive the results in that order and
+    are returned; their contents do not affect the results.
     """
-    if out is None:
-        n = len(xs)
-        out = [np.empty((n, n)) for _ in range(3)]
-    kv, u, log_r = out
+    kv, u, log_r = np.empty((3, len(xs), len(xs))) if out is None else out
     np.subtract.outer(xs, xs, out=u)
     u *= u
     u *= 0.5 / (hp.alpha * hp.length_scale**2)   # r - 1, as _rq_u

@@ -33,11 +33,7 @@ def analyze_curve(
     model = fit(TrainingSet(xs=curve.v, ys=curve.q), start)
     grid = np.linspace(curve.v[0], curve.v[-1], grid_n)
     post = derivative_posterior(model, grid, level)
-    report = detect.classify(
-        post,
-        threshold_v=threshold_v,
-        cycle=curve.cycle,
-    )
+    report = detect.classify(post, threshold_v=threshold_v, cycle=curve.cycle)
     return model, post, report
 
 

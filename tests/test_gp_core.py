@@ -6,14 +6,14 @@ and a direct solve, with no shared code path.
 
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from dqdv_gp import gp_core, synth
+from dqdv_gp import gp_core, kernel, synth
 from dqdv_gp.errors import AllStartsFailed, FactorizationFailure
 from dqdv_gp.gp_core import (
     TrainingSet,
@@ -63,21 +63,22 @@ def test_lml_matches_dense_oracle():
         assert val == pytest.approx(_dense_lml(train, hp), rel=1e-9, abs=1e-9)
 
 
-def _check_lml_gradient(train, theta):
-    # (log l, log sigma_f, log sigma_n, log alpha) against central differences
-    _, grad = log_marginal_likelihood(train, Hyperparams(*theta))
-    assert grad.shape == (4,)
+def _check_lml_gradient(train, theta, make_hp=Hyperparams):
+    # the gradient in PARAMS order, (log l, log sigma_f, log sigma_n,
+    # log alpha) for the RQ kernel, against central differences
+    _, grad = log_marginal_likelihood(train, make_hp(*theta))
+    assert grad.shape == (len(theta),)
     log_theta = np.log(theta)
 
     def central(j, h):
         tp, tm = log_theta.copy(), log_theta.copy()
         tp[j] += h
         tm[j] -= h
-        fp, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tp)))
-        fm, _ = log_marginal_likelihood(train, Hyperparams(*np.exp(tm)))
+        fp, _ = log_marginal_likelihood(train, make_hp(*np.exp(tp)))
+        fm, _ = log_marginal_likelihood(train, make_hp(*np.exp(tm)))
         return (fp - fm) / (2 * h)
 
-    for j in range(4):
+    for j in range(len(theta)):
         # Richardson-extrapolated stencil: at large alpha the LML is nearly
         # flat in log alpha and a 1e-6 step drowns in cancellation
         h = 1e-3
@@ -540,3 +541,77 @@ def test_start_that_stays_on_a_bound_falls_back_to_the_cold_starts(monkeypatch):
     assert len(ascents) >= 2    # the warm ascent, then the cold ones
     assert model.lml >= cold.lml
 
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_noise_and_out_of_range_starts_clip_to_the_table_bounds(monkeypatch):
+    # a zero noise has no logarithm: its start lands on the lower bound,
+    # 1e-8 std(Q), and an alpha past 1e3 on the upper one, with no warning
+    train = _toy_train(50, seed=0)
+    s = train.y_std
+    calls = []
+    lml = gp_core.log_marginal_likelihood
+
+    def recorded(train, hp, *rest):
+        calls.append(hp)
+        return lml(train, hp, *rest)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    fit(train, start=Hyperparams(0.1, s, 0.0, 1e6))
+    first = calls[0]
+    assert first.noise_std == np.exp(np.log(1e-8 * s))
+    assert first.alpha == np.exp(np.log(1e3))
+    assert first.length_scale == np.exp(np.log(0.1))
+    assert first.signal_std == np.exp(np.log(s))
+
+
+@dataclass(frozen=True)
+class _OffsetHyperparams:
+    length_scale: float
+    signal_std: float
+    noise_std: float
+    alpha: float
+    offset: float
+
+
+def _offset_rq(hp):
+    """The RQ part of K = sigma_f^2 (r^-alpha + b^2), and sigma_f^2 b^2."""
+    rq = Hyperparams(hp.length_scale, hp.signal_std, hp.noise_std, hp.alpha)
+    return rq, hp.signal_std**2 * hp.offset**2
+
+
+def _offset_log_param_grads(xs, hp, out=None):
+    out = np.empty((4, len(xs), len(xs))) if out is None else out
+    rq, c = _offset_rq(hp)
+    kernel.log_param_grads(xs, rq, out=out[:3])
+    out[0] += c
+    out[3][...] = 2.0 * c       # dK / d log b
+    return list(out)
+
+
+def _offset_kernel_matrix(xs, xs2, hp, block="VV"):
+    assert block == "VV"
+    rq, c = _offset_rq(hp)
+    return kernel.kernel_matrix(xs, xs2, rq, block) + c
+
+
+def test_a_fifth_parameter_fits_through_the_table(monkeypatch):
+    # RQ plus a dimensionless offset b: a kernel with one more row in
+    # PARAMS reaches the LML gradient, the bounds and the starts with no
+    # edit to fit
+    params = kernel.PARAMS + (kernel.Param("offset", "", (1e-3, 10.0), (0.1,)),)
+    monkeypatch.setattr(gp_core, "PARAMS", params)
+    monkeypatch.setattr(gp_core, "Hyperparams", _OffsetHyperparams)
+    monkeypatch.setattr(gp_core, "log_param_grads", _offset_log_param_grads)
+    monkeypatch.setattr(gp_core, "kernel_matrix", _offset_kernel_matrix)
+    train = _toy_train(40, seed=5)
+    assert len(gp_core._workspace(len(train))) == 5
+    _check_lml_gradient(train, np.array([0.2, 0.02, 1e-3, 2.0, 0.3]), _OffsetHyperparams)
+
+    assert [hp.offset for hp in default_inits(train)] == [0.1] * 5
+    model = fit(train)
+    assert isinstance(model.hp, _OffsetHyperparams)
+    scale = gp_core._scales(train)
+    for p in params:
+        lo, hi = np.multiply(p.bounds, scale[p.unit])
+        assert lo * (1 - 1e-12) <= getattr(model.hp, p.name) <= hi * (1 + 1e-12), p.name

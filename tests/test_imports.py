@@ -81,3 +81,31 @@ def test_only_the_sg_comparator_loads_scipy_signal(tmp_path, flags, loaded):
     argv = ["analyze", str(log), "--out", str(tmp_path / "out"), *flags]
     code = f"from dqdv_gp.cli import main\nassert main({argv!r}) == 0"
     assert _heavy_modules_after(code) == loaded
+
+
+def _docstrings(tree):
+    nodes = [tree] + [n for n in ast.walk(tree) if isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return {id(n.body[0].value) for n in nodes
+            if n.body and isinstance(n.body[0], ast.Expr)
+            and isinstance(n.body[0].value, ast.Constant)
+            and isinstance(n.body[0].value.value, str)}
+
+
+def test_gp_core_names_no_kernel_shape_parameter():
+    # kernel.PARAMS is the one owner of the parameter order, bounds and
+    # starts; gp_core reads it and names no parameter of the RQ shape
+    tree = _tree("gp_core")
+    docs = _docstrings(tree)
+    words = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.append(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            words.append(node.arg or "")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs:
+            words.append(node.value)
+    assert [w for w in words if "length_scale" in w or "alpha" in w] == []

@@ -1,6 +1,6 @@
 """Kernel block functions checked against finite differences of k itself."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqdv_gp.kernel import (
+    PARAMS,
     Hyperparams,
     jitter_for,
     k,
@@ -220,3 +221,11 @@ def test_hyperparams_roundtrip_and_jitter_floor(ell, sf, sn, alpha):
 def test_hyperparams_validation(kwargs):
     with pytest.raises(ValueError):
         Hyperparams(**kwargs)
+
+
+def test_params_table_follows_hyperparams_field_order():
+    assert [p.name for p in PARAMS] == [f.name for f in fields(Hyperparams)]
+    for p in PARAMS:
+        assert p.unit in ("V", "Ah", "")
+        assert 0 < p.bounds[0] < p.bounds[1]
+        assert all(p.bounds[0] <= start <= p.bounds[1] for start in p.starts)
