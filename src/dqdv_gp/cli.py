@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,8 @@ def cmd_analyze(args, out, spec) -> int:
     for path in args.inputs:
         try:
             unassessable |= _analyze_input(path, args, out, config)
-        except (DqdvGpError, OSError) as exc:
+        except (DqdvGpError, OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+            # EOFError and zlib.error come from a truncated or corrupt .gz
             print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failed = True
     if failed:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import math
+import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,25 +113,95 @@ def parse_log(path) -> ChargeLog:
     Rows with non-finite or unparseable fields, or a cycle label beyond
     int64, are skipped and reported in ``rejected_rows`` (1-based data-row
     indices).  Raises MalformedHeader, NonMonotonicTime (first offending
-    row), or EmptyLog.
+    row), or EmptyLog.  A clean body is parsed in bulk and any other one
+    row by row; both give the same ChargeLog.
     """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=DELIMITER)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyLog("file has no header row")
-        header = [h.strip() for h in header]
-        required = [TIME_COL, CURRENT_COL, VOLTAGE_COL]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise MalformedHeader(f"missing required columns: {missing}")
-        it = header.index(TIME_COL)
-        ii = header.index(CURRENT_COL)
-        iv = header.index(VOLTAGE_COL)
-        ic = header.index(CYCLE_COL) if CYCLE_COL in header else None
+    with _open_log(path) as fh:
+        log = _parse_clean_body(fh, *_read_header(fh))
+    # any other body is read again, from the start, by the row loop
+    return log if log is not None else _parse_rows(path)
 
+
+class _SeparatorScan(io.BufferedIOBase):
+    """Bytes read from ``raw``; notes whether an ASCII separator (0x1c-0x1f) passed."""
+
+    SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.seen_separator = False
+
+    def readable(self):
+        return True
+
+    def read1(self, size=-1):  # how a TextIOWrapper reads its buffer
+        data = self.raw.read1(size)
+        self.seen_separator = self.seen_separator or any(b in data for b in self.SEPARATORS)
+        return data
+
+    def close(self):
+        self.raw.close()
+        super().close()
+
+
+def _open_log(path):
+    opener = gzip.open if str(path).endswith(".gz") else open
+    return io.TextIOWrapper(_SeparatorScan(opener(path, "rb")), encoding="utf-8-sig")
+
+
+def _read_header(fh):
+    """Read the header row from ``fh``; return the column indices of time,
+    current, voltage and cycle (None when there is no cycle column)."""
+    try:
+        header = next(csv.reader(fh, delimiter=DELIMITER))
+    except StopIteration:
+        raise EmptyLog("file has no header row")
+    header = [h.strip() for h in header]
+    required = [TIME_COL, CURRENT_COL, VOLTAGE_COL]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise MalformedHeader(f"missing required columns: {missing}")
+    ic = header.index(CYCLE_COL) if CYCLE_COL in header else None
+    return header.index(TIME_COL), header.index(CURRENT_COL), header.index(VOLTAGE_COL), ic
+
+
+def _parse_clean_body(fh, it, ii, iv, ic):
+    """The ChargeLog of the rest of ``fh`` read in bulk, or None unless the row
+    loop would read the same: every row parsed, no ASCII separator read, all
+    values finite, every cycle label an integer below 2**53 in magnitude (so
+    exact in float64) and time increasing within each cycle."""
+    usecols = (it, ii, iv) if ic is None else (it, ii, iv, ic)
+    try:
+        with warnings.catch_warnings():
+            # a body without data rows goes to the row loop, which raises EmptyLog
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=DELIMITER, usecols=usecols, comments=None,
+                              quotechar='"', ndmin=2, dtype=float)
+    except (ValueError, OSError, EOFError, zlib.error):
+        # the row loop reports a damaged file as it always has, at its first bad row
+        return None
+    # loadtxt strips the separators from a field as whitespace; float() does not
+    if fh.buffer.seen_separator or len(data) == 0 or not np.isfinite(data).all():
+        return None
+    # contiguous copies, as the row loop's arrays are
+    t, i, v = (data[:, k].copy() for k in range(3))
+    # as in the row loop, a log without a cycle column is one cycle, 0
+    labels = data[:, 3] if ic is not None else np.zeros(len(t))
+    if not ((np.abs(labels) < 2.0**53) & (labels == np.trunc(labels))).all():
+        return None
+    cycle = labels.astype(np.int64)
+    order = np.argsort(cycle, kind="stable")
+    if ((np.diff(cycle[order]) == 0) & (np.diff(t[order]) <= 0)).any():
+        return None
+    return ChargeLog(t=t, i=i, v=v, cycle=cycle if ic is not None else None)
+
+
+def _parse_rows(path) -> ChargeLog:
+    """``parse_log`` one row at a time: the reference for the bulk read, and
+    the only reader of a body with a rejected row or a time reversal."""
+    with _open_log(path) as fh:
+        it, ii, iv, ic = _read_header(fh)
+        reader = csv.reader(fh, delimiter=DELIMITER)
         t, i_, v, cyc, rejected, blank = [], [], [], [], [], []
         last_t = {}
         for row_num, row in enumerate(reader, start=1):

@@ -1,5 +1,6 @@
 """CLI surface: artifact layout, JSON schema, exit codes, determinism."""
 
+import gzip
 import json
 from pathlib import Path
 
@@ -175,6 +176,34 @@ def test_analyze_bad_input_does_not_stop_the_others(tmp_path, capsys):
     assert not (out / "cut_report.json").exists()
     doc = json.loads((out / "log_report.json").read_text())
     assert doc["cycles"][0]["verdict"] == "Plating"
+
+
+def _truncated_gz(data):
+    return "cut.csv.gz", gzip.compress(data)[: len(data) // 8]
+
+
+def _corrupt_gz(data):
+    packed = bytearray(gzip.compress(data))
+    packed[len(packed) // 2] ^= 0x55
+    return "corrupt.csv.gz", bytes(packed)
+
+
+def _not_utf8(data):
+    header, rest = data.split(b"\n", 1)
+    return "latin1.csv", header + b"\n0,0.1,3.0\xe9\n" + rest
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError")])
+def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, damage, error):
+    good = _run_synth(tmp_path, "--n-samples", "100")
+    name, data = damage(good.read_bytes())
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), str(good), "--out", str(out)]) == 1
+    assert f"error: {bad}: {error}: " in capsys.readouterr().err
+    assert json.loads((out / "log_report.json").read_text())["cycles"][0]["cycle"] == 1
 
 
 def test_analyze_reads_on_past_a_cycle_label_beyond_int64(tmp_path):
