@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from .ingest import (
     MAX_POINTS_DEFAULT,
     MIN_POINTS,
     OVER_CAPACITY_FACTOR,
+    READ_ERRORS,
     V_MAX_DEFAULT,
     V_MIN_DEFAULT,
     parse_log,
@@ -106,7 +106,8 @@ def _stem(path):
 
 
 def _check_options(args):
-    """Raise ValueError for an option value that would fail a run part-way through."""
+    """Raise ValueError for an option value that would fail a run part-way
+    through or silently corrupt its results."""
     if args.command == "analyze":
         stems = [_stem(path) for path in args.inputs]
         clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
@@ -117,6 +118,16 @@ def _check_options(args):
             raise ValueError(f"--grid-n must be at least {detect.MIN_GRID_N}, got {args.grid_n}")
         if args.max_points < MIN_POINTS:
             raise ValueError(f"--max-points must be at least {MIN_POINTS}, got {args.max_points}")
+        for name in ("vmin", "vmax", "cc_tol", "threshold_v", "capacity"):
+            value = getattr(args, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if not args.vmin < args.vmax:
+            raise ValueError(f"--vmin must be below --vmax, got {args.vmin} and {args.vmax}")
+        if args.cc_tol < 0:
+            raise ValueError(f"--cc-tol must be at least 0, got {args.cc_tol}")
+        if args.capacity is not None and args.capacity <= 0:
+            raise ValueError(f"--capacity must be positive, got {args.capacity}")
     if args.command == "bench" and args.n_seeds < 1:
         raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     if args.command == "bench" or (args.command == "analyze" and args.baseline):
@@ -140,8 +151,7 @@ def cmd_analyze(args, out, spec) -> int:
     for path in args.inputs:
         try:
             unassessable |= _analyze_input(path, args, out, config)
-        except (DqdvGpError, OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
-            # EOFError and zlib.error come from a truncated or corrupt .gz
+        except (DqdvGpError, *READ_ERRORS) as exc:
             print(f"error: {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failed = True
     if failed:

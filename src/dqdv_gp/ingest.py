@@ -31,6 +31,7 @@ __all__ = [
     "ChargeLog",
     "CCSegment",
     "QVCurve",
+    "READ_ERRORS",
     "parse_log",
     "write_log",
     "extract_cc_charge",
@@ -47,6 +48,9 @@ CC_TOL_DEFAULT = 0.02
 OVER_CAPACITY_FACTOR = 1.5  # CC charge above this many nominal capacities is flagged
 SECONDS_PER_HOUR = 3600.0
 _INT64 = np.iinfo(np.int64)  # the range of a cycle label
+# what reading a damaged file raises besides this package's errors: a missing
+# file, a cut or corrupt .gz, non-UTF-8 bytes, a field over csv's size limit
+READ_ERRORS = (OSError, EOFError, zlib.error, UnicodeDecodeError, csv.Error)
 
 
 TIME_COL = "time_s"
@@ -177,7 +181,7 @@ def _parse_clean_body(fh, it, ii, iv, ic):
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(fh, delimiter=DELIMITER, usecols=usecols, comments=None,
                               quotechar='"', ndmin=2, dtype=float)
-    except (ValueError, OSError, EOFError, zlib.error):
+    except (ValueError, *READ_ERRORS):
         # the row loop reports a damaged file as it always has, at its first bad row
         return None
     # loadtxt strips the separators from a field as whitespace; float() does not
@@ -202,11 +206,10 @@ def _parse_rows(path) -> ChargeLog:
     with _open_log(path) as fh:
         it, ii, iv, ic = _read_header(fh)
         reader = csv.reader(fh, delimiter=DELIMITER)
-        t, i_, v, cyc, rejected, blank = [], [], [], [], [], []
+        t, i_, v, cyc, rejected = [], [], [], [], []
         last_t = {}
         for row_num, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
-                blank.append(row_num)
                 continue
             try:
                 tv = float(row[it])
@@ -223,11 +226,11 @@ def _parse_rows(path) -> ChargeLog:
             except (ValueError, IndexError):
                 rejected.append(row_num)
                 continue
-            if not (math.isfinite(tv) and math.isfinite(iv_) and math.isfinite(vv)):
+            if not (math.isfinite(tv) and math.isfinite(iv_) and math.isfinite(vv)
+                    and _INT64.min <= cv <= _INT64.max):
                 rejected.append(row_num)
                 continue
-            if cv in last_t and tv <= last_t[cv] and _INT64.min <= cv <= _INT64.max:
-                # a label beyond int64 is rejected below, so its rows set no order
+            if cv in last_t and tv <= last_t[cv]:
                 raise NonMonotonicTime(row_num)
             last_t[cv] = tv
             t.append(tv)
@@ -235,37 +238,15 @@ def _parse_rows(path) -> ChargeLog:
             v.append(vv)
             cyc.append(cv)
 
-    cycle = None
-    if ic is not None:
-        try:
-            cycle = np.array(cyc, dtype=np.int64)
-        except OverflowError:
-            t, i_, v, cycle, rejected = _reject_wide_labels(t, i_, v, cyc, rejected, blank)
     if len(t) == 0:
         raise EmptyLog("no valid samples")
     return ChargeLog(
         t=np.array(t),
         i=np.array(i_),
         v=np.array(v),
-        cycle=cycle,
+        cycle=np.array(cyc, dtype=np.int64) if ic is not None else None,
         rejected_rows=tuple(rejected),
     )
-
-
-def _reject_wide_labels(t, i, v, cyc, rejected, blank):
-    """Move the rows whose cycle label lies beyond int64 into ``rejected``.
-
-    Called only when building the label array overflows, so that logs with
-    in-range labels pay no per-row check.  Returns the kept t, i, v and
-    int64 labels, and the rejected rows in order.
-    """
-    fits = np.array([_INT64.min <= c <= _INT64.max for c in cyc], dtype=bool)
-    # each data row was blank, rejected or kept
-    n_rows = len(cyc) + len(rejected) + len(blank)
-    kept_rows = np.setdiff1d(np.arange(1, n_rows + 1), rejected + blank)
-    rejected = sorted(rejected + kept_rows[~fits].tolist())
-    cycle = np.array([c for c, ok in zip(cyc, fits) if ok], dtype=np.int64)
-    return np.array(t)[fits], np.array(i)[fits], np.array(v)[fits], cycle, rejected
 
 
 def write_csv(path, header, *columns):

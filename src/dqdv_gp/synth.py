@@ -67,6 +67,9 @@ class SynthSpec:
 
     def __post_init__(self):
         lo, hi = self.v_range
+        if not all(map(math.isfinite, (lo, hi, self.capacity, self.noise_std))):
+            raise InvalidSpec(f"v_range, capacity and noise_std must be finite, got "
+                              f"{self.v_range}, {self.capacity} and {self.noise_std}")
         if not lo < hi:
             raise InvalidSpec(f"v_range must be increasing, got {self.v_range}")
         if self.capacity <= 0:

@@ -193,8 +193,24 @@ def _not_utf8(data):
     return "latin1.csv", header + b"\n0,0.1,3.0\xe9\n" + rest
 
 
+WIDE = b"x" * 200_000  # a field over csv's field size limit of 131,072 characters
+
+
+def _wide_header(data):
+    header, rest = data.split(b"\n", 1)
+    return "wide_header.csv", header + b"," + WIDE + b"\n" + rest
+
+
+def _wide_field(data):
+    # the rejected row sends the body to the row loop, which reads the wide field
+    header, first, rest = data.split(b"\n", 2)
+    rows = [header + b",note", b"0,abc,3.0", first + b"," + WIDE, rest]
+    return "wide_field.csv", b"\n".join(rows)
+
+
 @pytest.mark.parametrize("damage, error", [
-    (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError")])
+    (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError"),
+    (_wide_header, "Error"), (_wide_field, "Error")])
 def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, damage, error):
     good = _run_synth(tmp_path, "--n-samples", "100")
     name, data = damage(good.read_bytes())
@@ -319,8 +335,29 @@ def test_bench_invalid_spec_is_error(tmp_path, capsys):
     ["synth", "--n-samples", "5"],
     ["bench", "--n-samples", "5"],
     ["synth", "--n-cycles", "3", "--fade-rate", "0.6"],
+    ["analyze", "--threshold-v", "nan"],
+    ["analyze", "--capacity", "nan"],
+    ["analyze", "--capacity", "-1"],
+    ["analyze", "--capacity", "0"],
+    ["analyze", "--cc-tol", "nan"],
+    ["analyze", "--cc-tol", "-0.5"],
+    ["analyze", "--vmin", "nan"],
+    ["analyze", "--vmax", "nan"],
+    ["analyze", "--vmax", "inf"],
+    ["analyze", "--vmin", "4.2", "--vmax", "3.0"],
+    ["analyze", "--vmin", "3.5", "--vmax", "3.5"],
+    ["synth", "--capacity", "nan"],
+    ["synth", "--capacity", "inf"],
+    ["synth", "--noise-std", "inf"],
+    ["synth", "--noise-std", "nan"],
+    ["bench", "--noise-std", "inf"],
+    ["bench", "--noise-std", "nan"],
 ], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window", "bench-sg-window",
-        "max-points", "same-stem", "synth-spec", "bench-spec", "synth-fade"])
+        "max-points", "same-stem", "synth-spec", "bench-spec", "synth-fade",
+        "threshold-v-nan", "capacity-nan", "capacity-negative", "capacity-0", "cc-tol-nan",
+        "cc-tol-negative", "vmin-nan", "vmax-nan", "vmax-inf", "vmin-above-vmax",
+        "vmin-equals-vmax", "synth-capacity-nan", "synth-capacity-inf", "synth-noise-inf",
+        "synth-noise-nan", "bench-noise-inf", "bench-noise-nan"])
 def test_bad_option_is_rejected_before_any_output(tmp_path, capsys, flags):
     log = _run_synth(tmp_path, "--n-samples", "100")
     capsys.readouterr()

@@ -6,7 +6,6 @@ raise the same error at the same row.
 """
 
 import gzip
-import zlib
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ def _outcome(parse, path):
         log = parse(path)
     except NonMonotonicTime as exc:
         return ("NonMonotonicTime", exc.row)
-    except (DqdvGpError, OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+    except (DqdvGpError, *ingest.READ_ERRORS) as exc:
         return (type(exc).__name__,)
     arrays = [log.t, log.i, log.v] + ([] if log.cycle is None else [log.cycle])
     return ("ChargeLog", log.cycle is None, log.rejected_rows,

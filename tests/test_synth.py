@@ -124,6 +124,11 @@ def test_uniform_background_component():
         {"n_samples": 5},
         {"fade_rate": 1.0},
         {"n_cycles": 0},
+        {"v_range": (2.75, float("inf"))},
+        {"v_range": (-float("inf"), 4.2)},
+        {"capacity": float("nan")},
+        {"capacity": float("inf")},
+        {"noise_std": float("inf")},
     ],
 )
 def test_invalid_specs(kwargs):
