@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baseline, detect, metrics, synth
 from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, check_level
-from .errors import DqdvGpError, GridDoesNotReachThreshold
+from .errors import DqdvGpError, GridDoesNotReachThreshold, RepeatedCycle
 from .ingest import (
     CC_TOL_DEFAULT,
     MAX_POINTS_DEFAULT,
@@ -172,6 +172,13 @@ def _analyze_input(path, args, out, config) -> bool:
         max_points=args.max_points,
         capacity_ah=args.capacity,
     )
+    # two runs under one label would write the same files and throughput point
+    seen = set()
+    for curve in curves:
+        if curve.cycle in seen:
+            raise RepeatedCycle(
+                f"cycle {curve.cycle} has more than one constant-current charge run")
+        seen.add(curve.cycle)
 
     cycle_reports = []
     unassessable = []

@@ -121,23 +121,16 @@ def _prominences(x, peaks):
 
     Each base search runs outward from the peak until a sample that is
     higher or NaN (a stop), or the end of ``x``; the prominence is the peak's
-    height less the higher of the two minima passed.  A NaN pad at each end
-    puts a stop on both sides of every peak, so the stops of all peaks,
-    flattened row by row, bracket each peak within its own row.  The stops
-    come from one (peaks x samples) comparison, which stays small because a
-    posterior mean has few local maxima.
+    height less the higher of the two minima passed.
     """
-    padded = np.concatenate(([np.nan], x, [np.nan]))
-    heights = x[peaks]
-    stops = np.flatnonzero(~(padded <= heights[:, None]))
-    row = np.arange(len(peaks)) * len(padded)
-    top = peaks + 1  # the peak's index in ``padded``
-    after = np.searchsorted(stops, row + top)
-    lo = stops[after - 1] + 1 - row
-    hi = stops[after] - row
-    # the minima of padded[lo:top + 1] and padded[top:hi] for each peak
-    mins = np.minimum.reduceat(padded, np.stack((lo, top + 1, top, hi), axis=1).ravel())
-    return heights - np.maximum(mins[0::4], mins[2::4])
+    bases = np.empty(len(peaks))
+    for k, peak in enumerate(peaks.tolist()):
+        stops = np.flatnonzero(~(x <= x[peak]))
+        after = np.searchsorted(stops, peak)
+        lo = stops[after - 1] + 1 if after > 0 else 0
+        hi = stops[after] if after < len(stops) else len(x)
+        bases[k] = max(x[lo:peak + 1].min(), x[peak:hi].min())
+    return x[peaks] - bases
 
 
 def find_peaks(

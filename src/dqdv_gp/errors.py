@@ -44,7 +44,11 @@ class NoChargeSegments(DqdvGpError):
 
 
 class TooFewPoints(DqdvGpError):
-    """A Q(V) curve has fewer than 4 points after cleaning."""
+    """A Q(V) curve has fewer than 4 points, or no rise in charge, after cleaning."""
+
+
+class RepeatedCycle(DqdvGpError):
+    """One cycle label holds more than one constant-current charge run."""
 
 
 class GridDoesNotReachThreshold(DqdvGpError):

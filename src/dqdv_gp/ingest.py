@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
 import math
 import warnings
 import zlib
@@ -114,11 +113,12 @@ class QVCurve:
 def parse_log(path) -> ChargeLog:
     """Parse a charging-log CSV (gzip if the name ends in .gz) into a validated ChargeLog.
 
-    Rows with non-finite or unparseable fields, or a cycle label beyond
-    int64, are skipped and reported in ``rejected_rows`` (1-based data-row
-    indices).  Raises MalformedHeader, NonMonotonicTime (first offending
-    row), or EmptyLog.  A clean body is parsed in bulk and any other one
-    row by row; both give the same ChargeLog.
+    Whitespace around a field, as ``str.strip`` defines it (0x1c-0x1f
+    included), is ignored.  Rows with non-finite or unparseable fields, or a
+    cycle label beyond int64, are skipped and reported in ``rejected_rows``
+    (1-based data-row indices).  Raises MalformedHeader, NonMonotonicTime
+    (first offending row), or EmptyLog.  A clean body is parsed in bulk and
+    any other one row by row; both give the same ChargeLog.
     """
     with _open_log(path) as fh:
         log = _parse_clean_body(fh, *_read_header(fh))
@@ -126,31 +126,9 @@ def parse_log(path) -> ChargeLog:
     return log if log is not None else _parse_rows(path)
 
 
-class _SeparatorScan(io.BufferedIOBase):
-    """Bytes read from ``raw``; notes whether an ASCII separator (0x1c-0x1f) passed."""
-
-    SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-    def __init__(self, raw):
-        self.raw = raw
-        self.seen_separator = False
-
-    def readable(self):
-        return True
-
-    def read1(self, size=-1):  # how a TextIOWrapper reads its buffer
-        data = self.raw.read1(size)
-        self.seen_separator = self.seen_separator or any(b in data for b in self.SEPARATORS)
-        return data
-
-    def close(self):
-        self.raw.close()
-        super().close()
-
-
 def _open_log(path):
     opener = gzip.open if str(path).endswith(".gz") else open
-    return io.TextIOWrapper(_SeparatorScan(opener(path, "rb")), encoding="utf-8-sig")
+    return opener(path, "rt", encoding="utf-8-sig")
 
 
 def _read_header(fh):
@@ -171,9 +149,9 @@ def _read_header(fh):
 
 def _parse_clean_body(fh, it, ii, iv, ic):
     """The ChargeLog of the rest of ``fh`` read in bulk, or None unless the row
-    loop would read the same: every row parsed, no ASCII separator read, all
-    values finite, every cycle label an integer below 2**53 in magnitude (so
-    exact in float64) and time increasing within each cycle."""
+    loop would read the same: every row parsed, all values finite, every cycle
+    label an integer below 2**53 in magnitude (so exact in float64) and time
+    increasing within each cycle."""
     usecols = (it, ii, iv) if ic is None else (it, ii, iv, ic)
     try:
         with warnings.catch_warnings():
@@ -184,8 +162,7 @@ def _parse_clean_body(fh, it, ii, iv, ic):
     except (ValueError, *READ_ERRORS):
         # the row loop reports a damaged file as it always has, at its first bad row
         return None
-    # loadtxt strips the separators from a field as whitespace; float() does not
-    if fh.buffer.seen_separator or len(data) == 0 or not np.isfinite(data).all():
+    if len(data) == 0 or not np.isfinite(data).all():
         return None
     # contiguous copies, as the row loop's arrays are
     t, i, v = (data[:, k].copy() for k in range(3))
@@ -212,14 +189,14 @@ def _parse_rows(path) -> ChargeLog:
             if not row or all(not c.strip() for c in row):
                 continue
             try:
-                tv = float(row[it])
-                iv_ = float(row[ii])
-                vv = float(row[iv])
+                tv = float(row[it].strip())
+                iv_ = float(row[ii].strip())
+                vv = float(row[iv].strip())
                 try:
-                    cv = int(row[ic]) if ic is not None else 0
+                    cv = int(row[ic].strip()) if ic is not None else 0
                 except ValueError:
                     # 2.0, as pandas writes an integer column that has a missing value
-                    cv = float(row[ic])
+                    cv = float(row[ic].strip())
                     if not cv.is_integer():
                         raise
                     cv = int(cv)
@@ -346,7 +323,8 @@ def clean_qv(
     (isotonic projection, which averages out local inversions instead of
     ratcheting them upward), and downsamples uniformly in V to at most
     ``max_points`` keeping the endpoints.  Charge is re-zeroed at the first
-    kept sample.  Raises ValueError when ``max_points`` is below
+    kept sample.  Raises TooFewPoints when fewer than ``MIN_POINTS`` remain
+    or the charge does not rise, and ValueError when ``max_points`` is below
     ``MIN_POINTS``.
     """
     if max_points < MIN_POINTS:
@@ -374,6 +352,10 @@ def clean_qv(
     if np.any(np.diff(q) < 0):
         q = isotonic_regression(q).x
     q = q - q[0]
+    if q[-1] <= 0:
+        # charge that falls as voltage rises, a discharge logged with I > 0,
+        # projects to one flat level
+        raise TooFewPoints("charge does not rise with voltage")
 
     if len(v) > max_points:
         targets = np.linspace(v[0], v[-1], max_points)

@@ -208,9 +208,27 @@ def _wide_field(data):
     return "wide_field.csv", b"\n".join(rows)
 
 
+def _positive_discharge(data):
+    # two cycles whose voltage falls while the current stays positive
+    header, *rows = data.decode().splitlines()
+    t, i, v, _ = zip(*(row.split(",") for row in rows))
+    body = [",".join(f) for c in "12" for f in zip(t, i, v[::-1], [c] * len(t))]
+    return "discharge.csv", "\n".join([header, *body, ""]).encode()
+
+
+def _paused(data):
+    # a 3-sample rest splits the charge into two CC runs, both labelled cycle 1
+    header, *rows = data.decode().splitlines()
+    for k in range(50, 53):
+        t, _, v, c = rows[k].split(",")
+        rows[k] = f"{t},0.0,{v},{c}"
+    return "paused.csv", "\n".join([header, *rows, ""]).encode()
+
+
 @pytest.mark.parametrize("damage, error", [
     (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError"),
-    (_wide_header, "Error"), (_wide_field, "Error")])
+    (_wide_header, "Error"), (_wide_field, "Error"),
+    (_positive_discharge, "TooFewPoints"), (_paused, "RepeatedCycle")])
 def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, damage, error):
     good = _run_synth(tmp_path, "--n-samples", "100")
     name, data = damage(good.read_bytes())
@@ -220,6 +238,8 @@ def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, dam
     assert main(["analyze", str(bad), str(good), "--out", str(out)]) == 1
     assert f"error: {bad}: {error}: " in capsys.readouterr().err
     assert json.loads((out / "log_report.json").read_text())["cycles"][0]["cycle"] == 1
+    # the bad input wrote nothing
+    assert all(p.name.startswith("log_") for p in out.iterdir())
 
 
 def test_analyze_reads_on_past_a_cycle_label_beyond_int64(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqdv_gp import ingest
 from dqdv_gp.errors import (
     EmptyLog,
     MalformedHeader,
@@ -79,6 +80,16 @@ class TestParseLog:
         assert list(log.cycle) == [1, 1, 2**63 - 1]
         assert log.rejected_rows == (2, 3, 6)
         np.testing.assert_array_equal(log.t, [0.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("parse", [parse_log, ingest._parse_rows])
+    def test_ascii_separators_around_a_field_are_whitespace(self, tmp_path, parse):
+        # str.strip, like numpy's loadtxt, strips 0x1c-0x1f; float() and int() do not
+        log = parse(
+            _csv(tmp_path, "time_s,current_a,voltage_v,cycle\n0,0.1,3.0,1\n1,0.1,3.1\x1f,\x1c2\n")
+        )
+        np.testing.assert_array_equal(log.v, [3.0, 3.1])
+        assert list(log.cycle) == [1, 2]
+        assert log.rejected_rows == ()
 
     def test_missing_column(self, tmp_path):
         with pytest.raises(MalformedHeader, match="voltage_v"):
