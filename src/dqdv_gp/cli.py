@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, detect, metrics, synth
-from .derivative import DEFAULT_GRID_N, DEFAULT_LEVEL, check_level
+from .derivative import DEFAULT_LEVEL, check_level
 from .errors import DqdvGpError, GridDoesNotReachThreshold, RepeatedCycle
 from .ingest import (
     CC_TOL_DEFAULT,
@@ -30,7 +30,7 @@ from .ingest import (
     write_csv,
     write_log,
 )
-from .pipeline import analyze_curve, log_to_curves, paired_trial, sg_config
+from .pipeline import analyze_curve, log_to_curves, paired_trial
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,7 +65,6 @@ def build_parser():
     pa.add_argument("--vmax", type=float, default=V_MAX_DEFAULT)
     pa.add_argument("--max-points", type=int, default=MAX_POINTS_DEFAULT)
     pa.add_argument("--cc-tol", type=float, default=CC_TOL_DEFAULT)
-    pa.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     pa.add_argument("--level", type=float, default=DEFAULT_LEVEL)
     pa.add_argument("--threshold-v", type=float, default=detect.THRESHOLD_V_DEFAULT)
     pa.add_argument("--baseline", action="store_true",
@@ -90,7 +89,6 @@ def build_parser():
                         help="paired GP-vs-SG benchmark on synthetic data")
     pb.add_argument("--out", default="bench_out")
     pb.add_argument("--n-seeds", type=int, default=20)
-    pb.add_argument("--grid-n", type=int, default=DEFAULT_GRID_N)
     return parser
 
 
@@ -114,8 +112,6 @@ def _check_options(args):
         if clashes:
             raise ValueError(f"inputs would overwrite each other's outputs: {clashes}")
         check_level(args.level)
-        if args.grid_n < detect.MIN_GRID_N:
-            raise ValueError(f"--grid-n must be at least {detect.MIN_GRID_N}, got {args.grid_n}")
         if args.max_points < MIN_POINTS:
             raise ValueError(f"--max-points must be at least {MIN_POINTS}, got {args.max_points}")
         for name in ("vmin", "vmax", "cc_tol", "threshold_v", "capacity"):
@@ -130,8 +126,6 @@ def _check_options(args):
             raise ValueError(f"--capacity must be positive, got {args.capacity}")
     if args.command == "bench" and args.n_seeds < 1:
         raise ValueError(f"--n-seeds must be at least 1, got {args.n_seeds}")
-    if args.command == "bench" or (args.command == "analyze" and args.baseline):
-        sg_config(args.grid_n)
 
 
 def _make_spec(args):
@@ -193,7 +187,6 @@ def _analyze_input(path, args, out, config) -> bool:
         try:
             model, post, report = analyze_curve(
                 curve,
-                grid_n=args.grid_n,
                 level=args.level,
                 threshold_v=args.threshold_v,
                 start=start,
@@ -207,7 +200,7 @@ def _analyze_input(path, args, out, config) -> bool:
                   post.grid, post.mean, post.lower, post.upper)
 
         if args.baseline:
-            grid, dqdv = baseline.fd_dqdv(curve, sg_config(args.grid_n))
+            grid, dqdv = baseline.fd_dqdv(curve)
             write_csv(out / f"{tag}_dqdv_sg.csv", ["voltage_v", "mean", "method"],
                       grid, dqdv, ["sg_fd"] * len(grid))
 
@@ -251,10 +244,7 @@ def cmd_synth(args, out, spec) -> int:
 
 
 def cmd_bench(args, out, spec) -> int:
-    rows = [
-        paired_trial(spec, seed=args.seed + k, grid_n=args.grid_n)
-        for k in range(args.n_seeds)
-    ]
+    rows = [paired_trial(spec, seed=args.seed + k) for k in range(args.n_seeds)]
     fields = list(rows[0])
     write_csv(out / "bench.csv", fields, *([r[k] for r in rows] for k in fields))
 

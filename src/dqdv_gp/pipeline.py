@@ -13,7 +13,7 @@ from .gp_core import TrainingSet, fit
 from .ingest import QVCurve, clean_qv, coulomb_count, extract_cc_charge
 from .kernel import Hyperparams
 
-__all__ = ["analyze_curve", "log_to_curves", "paired_trial", "sg_config"]
+__all__ = ["analyze_curve", "log_to_curves", "paired_trial"]
 
 
 def analyze_curve(
@@ -54,13 +54,6 @@ def log_to_curves(
     return curves
 
 
-def sg_config(grid_n: int) -> baseline.SgConfig:
-    """The SG comparator's settings for a GP grid of ``grid_n`` points: it
-    resamples onto as many points, so the two methods are read on matched
-    grids.  Raises ValueError when ``grid_n`` is below the SG window."""
-    return baseline.SgConfig(resample_n=grid_n)
-
-
 INTERIOR_FRAC = 0.05  # fraction of the voltage span excluded at each edge
 
 
@@ -74,7 +67,6 @@ def interior_mask(grid):
 def paired_trial(
     spec: synth.SynthSpec,
     seed: int = 0,
-    grid_n: int = DEFAULT_GRID_N,
     sg_cfg: baseline.SgConfig | None = None,
 ):
     """One paired GP-vs-SG trial on a synthetic cycle with known truth.
@@ -84,7 +76,6 @@ def paired_trial(
     plating bump exists), and empirical credible-band coverage.
     """
     spec = replace(spec, seed=seed)
-    sg_cfg = sg_cfg or sg_config(grid_n)
 
     log = synth.generate_cycle(spec, 1)
     curves = log_to_curves(
@@ -92,12 +83,12 @@ def paired_trial(
     )
     curve = curves[0]
 
-    model, post, report = analyze_curve(curve, grid_n=grid_n)
+    model, post, report = analyze_curve(curve)
     truth = synth.true_dqdv(spec, post.grid)
     mask = interior_mask(post.grid)
     gp_rmse = float(np.sqrt(np.mean((post.mean[mask] - truth[mask]) ** 2)))
 
-    sg_grid, sg_dqdv = baseline.fd_dqdv(curve, sg_cfg)
+    sg_grid, sg_dqdv = baseline.fd_dqdv(curve, sg_cfg or baseline.SgConfig())
     sg_truth = synth.true_dqdv(spec, sg_grid)
     sg_mask = interior_mask(sg_grid)
     sg_rmse = float(np.sqrt(np.mean((sg_dqdv[sg_mask] - sg_truth[sg_mask]) ** 2)))

@@ -95,6 +95,8 @@ class SynthSpec:
             raise InvalidSpec("noise_std must be >= 0")
         if self.n_samples < 10:
             raise InvalidSpec("n_samples must be >= 10")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.fade_rate < 1.0:
             raise InvalidSpec("fade_rate must be in [0, 1)")
         if self.n_cycles < 1:

@@ -59,6 +59,12 @@ def test_analyze_end_to_end(tmp_path):
     assert (out / "log_cycle1_dqdv_sg.csv").exists()
     header = (out / "log_cycle1_dqdv_gp.csv").read_text().splitlines()[0]
     assert header == "voltage_v,mean,lower,upper"
+    # the comparator is read on the GP's grid
+    def voltages(method):
+        rows = (out / f"log_cycle1_dqdv_{method}.csv").read_text().splitlines()[1:]
+        return [row.split(",")[0] for row in rows]
+
+    assert voltages("sg") == voltages("gp")
 
 
 def test_analyze_baseline_scenario_is_clean(tmp_path):
@@ -178,6 +184,59 @@ def test_analyze_bad_input_does_not_stop_the_others(tmp_path, capsys):
     assert doc["cycles"][0]["verdict"] == "Plating"
 
 
+def test_analyze_reports_a_short_cycle_between_good_ones_as_unassessable(tmp_path):
+    out = tmp_path / "report"
+    assert main(["analyze", str(_cut_cycle_2_log(tmp_path)), "--out", str(out)]) == 2
+    doc = json.loads((out / "cut_report.json").read_text())
+    assert [(c["cycle"], c["verdict"]) for c in doc["cycles"]] == [(1, "Plating"), (3, "Plating")]
+    (entry,) = doc["unassessable"]
+    assert entry["cycle"] == 2
+    assert entry["reason"].startswith("grid ends at 2.")
+
+
+def _with_cv_taper(log, n=29):
+    # after each CC run, n samples at 4.2 V with a decaying current, timed
+    # inside the gap before the next row, so every CC row keeps its time
+    cols = [log.t, log.i, log.v, log.cycle]
+    ends = [e for e in np.flatnonzero(log.i > 0) + 1 if e == len(log) or log.i[e] == 0]
+    for e in reversed(ends):
+        gap = log.t[e] - log.t[e - 1] if e < len(log) else 60.0
+        k = np.arange(1, n + 1)
+        taper = [log.t[e - 1] + gap * k / (n + 1), log.i[e - 1] * 0.9**k,
+                 np.full(n, 4.2), np.full(n, log.cycle[e - 1])]
+        cols = [np.insert(col, e, part) for col, part in zip(cols, taper)]
+    return ChargeLog(*cols)
+
+
+def test_analyze_ignores_a_cv_taper_after_each_cc_run(tmp_path):
+    log = generate_log(plating_spec(n_cycles=3, n_samples=200, seed=2))
+    outs = []
+    for name, charge in (("plain", log), ("taper", _with_cv_taper(log))):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "log.csv"
+        write_log(charge, path)
+        outs.append(tmp_path / name / "report")
+        assert main(["analyze", str(path), "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir()
+                   if p.name.endswith(("_qv.csv", "_dqdv_gp.csv")))
+    assert len(names) == 6
+    for name in names:
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_analyze_keeps_negative_and_huge_cycle_labels(tmp_path):
+    log = generate_log(plating_spec(n_cycles=3, n_samples=100, seed=2))
+    labels = np.array([0, -5, 2, 2**62])[log.cycle]
+    path = tmp_path / "log.csv"
+    write_log(ChargeLog(t=log.t, i=log.i, v=log.v, cycle=labels), path)
+    out = tmp_path / "report"
+    assert main(["analyze", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "log_report.json").read_text())
+    assert [c["cycle"] for c in doc["cycles"]] == [-5, 2, 2**62]
+    assert (out / "log_cycle-5_qv.csv").exists()
+    assert (out / f"log_cycle{2**62}_dqdv_gp.csv").exists()
+
+
 def _truncated_gz(data):
     return "cut.csv.gz", gzip.compress(data)[: len(data) // 8]
 
@@ -216,6 +275,13 @@ def _positive_discharge(data):
     return "discharge.csv", "\n".join([header, *body, ""]).encode()
 
 
+def _negative_current(data):
+    # the charge logged with a discharge's sign of current
+    header, *rows = data.decode().splitlines()
+    body = [f"{t},-{i},{v},{c}" for t, i, v, c in (row.split(",") for row in rows)]
+    return "negative.csv", "\n".join([header, *body, ""]).encode()
+
+
 def _paused(data):
     # a 3-sample rest splits the charge into two CC runs, both labelled cycle 1
     header, *rows = data.decode().splitlines()
@@ -228,7 +294,8 @@ def _paused(data):
 @pytest.mark.parametrize("damage, error", [
     (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError"),
     (_wide_header, "Error"), (_wide_field, "Error"),
-    (_positive_discharge, "TooFewPoints"), (_paused, "RepeatedCycle")])
+    (_positive_discharge, "TooFewPoints"), (_negative_current, "NoChargeSegments"),
+    (_paused, "RepeatedCycle")])
 def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, damage, error):
     good = _run_synth(tmp_path, "--n-samples", "100")
     name, data = damage(good.read_bytes())
@@ -286,7 +353,7 @@ def test_analyze_report_ignores_seed_env(tmp_path, monkeypatch):
     assert a == (out2 / "log_report.json").read_bytes()
     # every analyze flag but --out and the inputs, plus the subcommand
     assert set(json.loads(a)["config"]) == {
-        "command", "vmin", "vmax", "max_points", "cc_tol", "grid_n",
+        "command", "vmin", "vmax", "max_points", "cc_tol",
         "level", "threshold_v", "baseline", "capacity",
     }
 
@@ -302,7 +369,7 @@ def test_report_does_not_depend_on_the_other_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["analyze", "s.csv", "--grid-n", "abc"], 1),
+    (["analyze", "s.csv", "--max-points", "abc"], 1),
     (["synth", "--no-such-flag"], 1),
     ([], 1),
     (["--help"], 0),
@@ -335,6 +402,9 @@ def test_bench_smoke(tmp_path):
     assert lines[0].startswith("seed,gp_rmse,sg_rmse")
     assert lines[0].endswith(",alpha")
     assert len(lines) == 4
+    # every bench flag but --out, plus the subcommand
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert set(config) == {"command", "scenario", "noise_std", "n_samples", "seed", "n_seeds"}
 
 
 def test_bench_invalid_spec_is_error(tmp_path, capsys):
@@ -347,13 +417,12 @@ def test_bench_invalid_spec_is_error(tmp_path, capsys):
     ["bench", "--n-seeds", "0"],
     ["bench", "--n-seeds", "-2"],
     ["analyze", "--level", "1.5"],
-    ["analyze", "--grid-n", "3"],
-    ["analyze", "--baseline", "--grid-n", "7"],
-    ["bench", "--grid-n", "7"],
     ["analyze", "--max-points", "0"],
     ["analyze", "x/log.csv", "y/log.csv"],
     ["synth", "--n-samples", "5"],
     ["bench", "--n-samples", "5"],
+    ["synth", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
     ["synth", "--n-cycles", "3", "--fade-rate", "0.6"],
     ["analyze", "--threshold-v", "nan"],
     ["analyze", "--capacity", "nan"],
@@ -372,8 +441,9 @@ def test_bench_invalid_spec_is_error(tmp_path, capsys):
     ["synth", "--noise-std", "nan"],
     ["bench", "--noise-std", "inf"],
     ["bench", "--noise-std", "nan"],
-], ids=["n-seeds-0", "n-seeds-negative", "level", "grid-n", "sg-window", "bench-sg-window",
-        "max-points", "same-stem", "synth-spec", "bench-spec", "synth-fade",
+], ids=["n-seeds-0", "n-seeds-negative", "level",
+        "max-points", "same-stem", "synth-spec", "bench-spec", "synth-seed-negative",
+        "bench-seed-negative", "synth-fade",
         "threshold-v-nan", "capacity-nan", "capacity-negative", "capacity-0", "cc-tol-nan",
         "cc-tol-negative", "vmin-nan", "vmax-nan", "vmax-inf", "vmin-above-vmax",
         "vmin-equals-vmax", "synth-capacity-nan", "synth-capacity-inf", "synth-noise-inf",

@@ -129,6 +129,7 @@ def test_uniform_background_component():
         {"capacity": float("nan")},
         {"capacity": float("inf")},
         {"noise_std": float("inf")},
+        {"seed": -1},
     ],
 )
 def test_invalid_specs(kwargs):
