@@ -22,6 +22,7 @@ from .ingest import (
     CC_TOL_DEFAULT,
     MAX_POINTS_DEFAULT,
     MIN_POINTS,
+    MIN_SEGMENT_SAMPLES,
     OVER_CAPACITY_FACTOR,
     READ_ERRORS,
     V_MAX_DEFAULT,
@@ -153,6 +154,15 @@ def cmd_analyze(args, out, spec) -> int:
     return EXIT_UNASSESSABLE if unassessable else EXIT_OK
 
 
+def _charged_labels(log):
+    """The cycle labels of the log's rows with charging current, in order of
+    first appearance; none when the log has no cycle column."""
+    if log.cycle is None:
+        return []
+    labels, first = np.unique(log.cycle[log.i > 0], return_index=True)
+    return [int(label) for label in labels[np.argsort(first)]]
+
+
 def _analyze_input(path, args, out, config) -> bool:
     """Write the curves and the report of one input; True if some cycle in it
     could not be assessed."""
@@ -175,7 +185,14 @@ def _analyze_input(path, args, out, config) -> bool:
         seen.add(curve.cycle)
 
     cycle_reports = []
-    unassessable = []
+    # a label whose charge rows form no run long enough has no curve, as
+    # when rows of two labels alternate; it is listed, not dropped
+    unassessable = [
+        {"cycle": label,
+         "reason": f"no constant-current charge run of {MIN_SEGMENT_SAMPLES} or more samples"}
+        for label in _charged_labels(log) if label not in seen
+    ]
+    assessed = []
     # each cycle's fit starts from the last optimum fitted in this input
     start = None
     for curve in curves:
@@ -195,6 +212,7 @@ def _analyze_input(path, args, out, config) -> bool:
             unassessable.append({"cycle": curve.cycle, "reason": str(exc)})
             continue
         start = model.hp
+        assessed.append(curve)
 
         write_csv(out / f"{tag}_dqdv_gp.csv", ["voltage_v", "mean", "lower", "upper"],
                   post.grid, post.mean, post.lower, post.upper)
@@ -222,8 +240,9 @@ def _analyze_input(path, args, out, config) -> bool:
         "unassessable": unassessable,
     }
 
-    if len(curves) >= 2:
-        series = metrics.throughput_series(curves)
+    # an unassessed cycle can be a fragment, whose charge is no throughput
+    if len(assessed) >= 2:
+        series = metrics.throughput_series(assessed)
         doc["throughput"] = {
             "cycles": [int(c) for c in series.cycles],
             "normalized": [float(x) for x in series.normalized],

@@ -4,6 +4,9 @@ Conditioning on training data, log marginal likelihood with analytic
 gradients in log-hyperparameter space, and quasi-Newton hyperparameter
 optimization from a given warm start or the best of several default starts,
 all with the kernel and hyperparameter table (``PARAMS``) of ``kernel``.
+The optimization ascends the profiled LML: sigma_f^2 takes its closed-form
+optimum y^T C^-1 y / n at each point (the concentrated likelihood; Santner,
+Williams & Notz 2003, sec. 3.3), so the ascent searches one dimension fewer.
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -78,6 +81,10 @@ class TrainingSet:
     @cached_property
     def y_std(self):
         return max(float(np.std(self.ys)), _STD_FLOOR)
+
+    @cached_property
+    def ys_standardized(self):
+        return (self.ys - self.y_mean) / self.y_std
 
     def __len__(self):
         return len(self.xs)
@@ -163,7 +170,7 @@ def _factor(train, hp_i, gram):
     half_log_det = float(np.sum(np.log(np.diag(chol))))
     if not np.isfinite(half_log_det):
         raise FactorizationFailure("noisy Gram matrix is not finite")
-    ys_s = (train.ys - train.y_mean) / train.y_std
+    ys_s = train.ys_standardized
     weights, _ = lapack.dpotrs(chol, ys_s, lower=True)
     n = len(train)
     lml_scaled = (
@@ -187,7 +194,22 @@ def _half_trace(kinv, a, m):
     return 0.5 * (quad - tr)
 
 
-def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
+def _peak_on_ray(var, rho):
+    """(sigma_f, sigma_n, whether sigma_n's bound holds it), in units of
+    std(Q), where the LML peaks on the ray sigma_n = rho sigma_f inside both
+    ``PARAMS`` bounds, from the unconstrained peak sigma_f^2 = ``var``.
+    The LML is concave in log sigma_f along the ray, so this projects
+    ``var`` into the bounds; a held parameter equals its bound exactly.
+    """
+    bounds = {p.name: p.bounds for p in PARAMS}
+    sf = min(max(np.sqrt(var), bounds["signal_std"][0]), bounds["signal_std"][1])
+    sn = min(max(rho * sf, bounds["noise_std"][0]), bounds["noise_std"][1])
+    if sn == rho * sf:
+        return sf, sn, False
+    return sn / rho, sn, True
+
+
+def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *, profile=False):
     """LML of the centered data and its gradient w.r.t. log-hyperparameters.
 
     Returns (value, grad) with grad in ``PARAMS`` order; the value is in
@@ -197,10 +219,24 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
     C-ordered arrays to compute in, as ``_workspace`` makes; their contents
     are overwritten and do not affect the result.  Without it the
     evaluation allocates its own.
+
+    With ``profile``, ``hp`` gives only the ray sigma_n / sigma_f = rho,
+    and the LML is taken at the sigma_f that maximizes it on that ray
+    inside the ``PARAMS`` bounds (``_peak_on_ray``).  Returns (value, grad,
+    hp) with hp that point and value the LML there; grad is the gradient of
+    this profiled LML, which depends on sigma_f and sigma_n only through
+    rho, so its sigma_f entry is minus its sigma_n entry, d/d log rho;
+    hp's noise_std must then be above zero.  Where no bound holds, value
+    and grad equal the plain evaluation at hp (the envelope theorem).
     """
     if work is None:
         work = _workspace(len(train))
     hp_i = _internal_hp(train, hp)
+    if profile:
+        # C = Kn / sigma_f^2 is the noisy Gram matrix at sigma_f = 1 with
+        # noise rho; jitter_for is a fraction of sigma_f^2, so C carries the
+        # jitter that _condition adds at every point of the ray
+        hp_i = replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / hp_i.signal_std)
     kf, *d_shape = log_param_grads(train.xs - train.x_mean, hp_i, out=work[:-1])
     np.copyto(work[-1], kf)
     chol, a, lml = _factor(train, hp_i, work[-1])
@@ -211,15 +247,37 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None):
     if info != 0:
         raise FactorizationFailure(f"noisy Gram matrix is singular (pivot {info})")
 
-    # every kernel is sigma_f^2 times a shape, so dKn / d log sigma_f = 2 Kf;
-    # dKn / d log sigma_n = 2 sigma_n^2 I; each other row takes the next
+    if profile:
+        n, rho = len(train), hp_i.noise_std
+        quad = blas.ddot(train.ys_standardized, a)
+        sf, sn, noise_held = _peak_on_ray(quad / n, rho)
+        # Kn = sf^2 C at the peak, so Kn^-1 y = a / sf^2 and each dKn is
+        # sf^2 dC: every trace below is the one at the peak with a / sf
+        lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
+        a = a / sf
+        hp = replace(hp, signal_std=sf * train.y_std, noise_std=sn * train.y_std)
+
+    # dKn / d log sigma_n = 2 sigma_n^2 I; each shape row takes the next
     # shape derivative from log_param_grads
+    diag = blas.ddot(a, a) - float(np.trace(kinv))
+    g_noise = hp_i.noise_std**2 * diag
+    if profile and noise_held:
+        # sigma_n held on its bound: sigma_f = sigma_n / rho falls as rho
+        # rises, which costs d LML / d log sigma_f + d / d log sigma_n =
+        # quad / sf^2 - n, the slope along the ray
+        g_noise -= quad / sf**2 - n
+    # every kernel is sigma_f^2 times a shape and the jitter a fraction of
+    # sigma_f^2, so dKn / d log sigma_f = 2 (Kf + jitter I)
+    g_signal = -g_noise if profile else (
+        2.0 * _half_trace(kinv, a, kf) + jitter_for(hp_i) * diag)
     grad = [
-        2.0 * _half_trace(kinv, a, kf) if p.name == "signal_std"
-        else hp_i.noise_std**2 * (blas.ddot(a, a) - float(np.trace(kinv))) if p.name == "noise_std"
+        g_signal if p.name == "signal_std"
+        else g_noise if p.name == "noise_std"
         else _half_trace(kinv, a, d_shape.pop(0))
         for p in PARAMS
     ]
+    if profile:
+        return lml, np.array(grad), hp
     return lml, np.array(grad)
 
 
@@ -257,49 +315,77 @@ def _stop_when_quiet(f0, quiet):
 def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     """Maximize the LML with L-BFGS-B in log-hyperparameter space.
 
-    With ``start`` (say the previous cycle's optimum), scores that point and
-    ascends from it, stopping after WARM_QUIET_ITERS iterations in a row that
-    each gain at most LML_TOL nats.  Without it, or when that ascent fails
-    (no finite LML, or the iteration budget runs out) or ends with a
-    hyperparameter on a bound, scores the ``default_inits`` and ascends from
-    the best one, stopping after the first iteration that gains at most
-    LML_TOL nats.  The other default starts are ascended, best first, only
-    while the latest ascent fails or ends on a bound.  Returns the
-    conditioned model at the point with the highest LML evaluated, starts
-    included.  ``PARAMS`` gives each log-hyperparameter's bounds.
+    The ascent runs on the profiled LML (``log_marginal_likelihood`` with
+    ``profile``), over the log of every ``PARAMS`` row but sigma_f, with
+    log(sigma_n / sigma_f) in sigma_n's place: each point it evaluates takes
+    the best sigma_f for the rest, so a start counts only through its
+    sigma_n / sigma_f.  With ``start`` (say the previous cycle's optimum),
+    scores that point and ascends from it, stopping after WARM_QUIET_ITERS
+    iterations in a row that each gain at most LML_TOL nats.  Without it,
+    or when that ascent fails (no finite LML, or the iteration budget runs
+    out) or ends with a hyperparameter on a bound, scores the
+    ``default_inits`` and ascends from the best one, stopping after the
+    first iteration that gains at most LML_TOL nats.  The other default
+    starts are ascended, best first, only while the latest ascent fails or
+    ends on a bound.  Returns the conditioned model at the point with the
+    highest LML evaluated, starts included.  ``PARAMS`` gives each
+    log-hyperparameter's bounds; rho's are the ratios they allow.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
     scale = _scales(train)
-    lo, hi = np.log([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS]).T
+    bounds = np.array([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS])
+    lo, hi = np.log(bounds).T
+    names = [p.name for p in PARAMS]
+    i_f, i_n = names.index("signal_std"), names.index("noise_std")
+    # the ascent's coordinates drop sigma_f and put log rho in sigma_n's
+    # place; rho spans every ratio that the sigma_n and sigma_f bounds allow
+    lo_r, hi_r = lo.copy(), hi.copy()
+    lo_r[i_n], hi_r[i_n] = lo[i_n] - hi[i_f], hi[i_n] - lo[i_f]
+    lo_r, hi_r = np.delete(lo_r, i_f), np.delete(hi_r, i_f)
     work = _workspace(len(train))
-    # (-LML, -grad) of every point scored, in the order scored: L-BFGS-B's
-    # first call repeats the start it ascends from, which is answered from
-    # here, and an ascent can end at a point below the best one it evaluated
+    # (-LML, -grad, hyperparameters) of every point scored, in the order
+    # scored: L-BFGS-B's first call repeats the start it ascends from, which
+    # is answered from here, and an ascent can end at a point below the best
+    # one it evaluated
     scored = {}
 
-    def neg_lml(log_theta):
-        """(-LML, -grad) at log-hyperparameters, or (_PENALTY, 0) where the
-        LML cannot be evaluated."""
-        if not np.all(np.isfinite(log_theta)):
+    def evaluate(x):
+        """The entry of ``scored`` at ascent coordinates ``x``, computed on the
+        first request; (_PENALTY, 0, None) where the LML cannot be evaluated."""
+        if not np.all(np.isfinite(x)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
-        key = log_theta.tobytes()
+        key = x.tobytes()
         if key not in scored:
+            # sigma_f = 1 puts rho in sigma_n's place
+            ray = Hyperparams(*np.exp(np.insert(x, i_f, 0.0)))
             try:
-                val, grad = log_marginal_likelihood(train, Hyperparams(*np.exp(log_theta)), work)
+                val, grad, hp = log_marginal_likelihood(train, ray, work, profile=True)
             except FactorizationFailure:
                 val = np.nan
-            finite = np.isfinite(val)
-            scored[key] = (-val, -grad) if finite else (_PENALTY, np.zeros(len(log_theta)))
-        f, g = scored[key]
+            scored[key] = ((-val, -np.delete(grad, i_f), hp) if np.isfinite(val)
+                           else (_PENALTY, np.zeros(len(x)), None))
+        return scored[key]
+
+    def neg_lml(x):
+        f, g, _ = evaluate(x)
         return f, g.copy()
 
     def score(hp0):
-        """(-LML, log-hyperparameters) of a start, clipped into the bounds;
+        """(-LML, ascent coordinates) of a start, clipped into the bounds;
         a zero noise lands on its lower bound."""
         with np.errstate(divide="ignore"):
             x0 = np.clip(np.log([getattr(hp0, p.name) for p in PARAMS]), lo, hi)
+        x0[i_n] -= x0[i_f]
+        x0 = np.delete(x0, i_f)
         return neg_lml(x0)[0], x0
+
+    def on_bound(x):
+        """True when ``x`` is on the box of the ascent or its point has
+        sigma_f or sigma_n held on a bound."""
+        hp = evaluate(x)[2]
+        return (np.any((x <= lo_r) | (x >= hi_r))
+                or any(getattr(hp, names[i]) in bounds[i] for i in (i_f, i_n)))
 
     def ascend(f0, x0, quiet):
         """Ascend from a scored start; True unless the ascent failed or
@@ -309,7 +395,7 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
             x0,
             jac=True,
             method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
+            bounds=list(zip(lo_r, hi_r)),
             callback=_stop_when_quiet(f0, quiet),
             # zero switches off L-BFGS-B's own tests (ftol, relative to
             # |LML|, and gtol on the projected gradient): the callback stops
@@ -320,13 +406,13 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
         # (scipy's code for a callback halt), 2 a line search that cannot
         # improve at the precision of the gradient.  With all five cold
         # starts ascended on plating and no-plating seeds 0-99, every
-        # status-2 run ended within 6.6e-6 nats of the best of the five, and
-        # 861 of the 865 one-quiet stops within 1e-5 (the worst 4.0e-5
-        # short, on the ridge in alpha).  A warm start is already near the
-        # optimum, where one quiet iteration can be a lull on that ridge, so
-        # its ascent waits for WARM_QUIET_ITERS
+        # status-2 run ended within 6.4e-6 nats of the best of the five, and
+        # 906 of the 908 one-quiet stops within 1e-5 (the worst 1.5e-5
+        # short).  A warm start is already near the optimum, where one quiet
+        # iteration can be a lull on the ridge in alpha, so its ascent waits
+        # for WARM_QUIET_ITERS
         converged = res.status != 1 and res.fun < _PENALTY
-        return converged and not np.any((res.x <= lo) | (res.x >= hi))
+        return converged and not on_bound(res.x)
 
     warm = False
     if start is not None:
@@ -338,15 +424,14 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
         for f0, x0 in starts:
             if f0 < _PENALTY and ascend(f0, x0, 1):
                 break
-    # neg_lml holds the buffers through its closure cell; drop them before
+    # the closures hold the buffers through their cells; drop them before
     # conditioning allocates its own n x n arrays
     work = None
     # min keeps the first of equal values, so ties go to the earliest point
-    best_key = min(scored, key=lambda point: scored[point][0])
-    if scored[best_key][0] >= _PENALTY:
+    best_f, _, best_hp = min(scored.values(), key=lambda entry: entry[0])
+    if best_f >= _PENALTY:
         raise AllStartsFailed("every optimization start failed")
-    best_x = np.frombuffer(best_key)
-    return _condition(train, Hyperparams(*np.exp(best_x)), "warm" if warm else "cold")
+    return _condition(train, best_hp, "warm" if warm else "cold")
 
 
 def posterior_mean(model: FittedGP, grid):

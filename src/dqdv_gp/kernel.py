@@ -170,5 +170,11 @@ def log_param_grads(xs, hp: Hyperparams, out=None):
 
 
 def jitter_for(hp: Hyperparams) -> float:
-    """Diagonal jitter added to VV Gram matrices before factorization."""
-    return max(1e-10, 1e-12 * hp.signal_std**2)
+    """Diagonal jitter added to VV Gram matrices before factorization.
+
+    A fixed fraction of the prior variance sigma_f^2: the noisy Gram matrix
+    is then sigma_f^2 (shape + jitter fraction) + sigma_n^2 I, so a fit that
+    profiles sigma_f out of the LML sees the same jitter as the model it
+    conditions at any sigma_f.
+    """
+    return 1e-10 * hp.signal_std**2

@@ -194,6 +194,34 @@ def test_analyze_reports_a_short_cycle_between_good_ones_as_unassessable(tmp_pat
     assert entry["reason"].startswith("grid ends at 2.")
 
 
+def test_analyze_throughput_leaves_out_an_unassessable_cycle(tmp_path):
+    # cycle 2's 12 samples hold a fraction of a charge, no throughput
+    out = tmp_path / "report"
+    assert main(["analyze", str(_cut_cycle_2_log(tmp_path)), "--out", str(out)]) == 2
+    doc = json.loads((out / "cut_report.json").read_text())
+    assert doc["throughput"]["cycles"] == [1, 3]
+    assert doc["throughput"]["normalized"][1] > 0.9
+
+
+def test_analyze_lists_interleaved_cycle_labels_as_unassessable(tmp_path):
+    # cycle 1's rows alternate between labels 1 and 7, so each run of one
+    # label is a single sample, under the 10-sample minimum
+    log = generate_log(plating_spec(n_cycles=3, n_samples=200, seed=2))
+    rows = np.flatnonzero(log.cycle == 1)
+    labels = log.cycle.copy()
+    labels[rows[1::2]] = 7
+    path = tmp_path / "mixed.csv"
+    write_log(ChargeLog(t=log.t, i=log.i, v=log.v, cycle=labels), path)
+    out = tmp_path / "report"
+    assert main(["analyze", str(path), "--out", str(out)]) == 2
+    doc = json.loads((out / "mixed_report.json").read_text())
+    assert [c["cycle"] for c in doc["cycles"]] == [2, 3]
+    assert [entry["cycle"] for entry in doc["unassessable"]] == [1, 7]
+    for entry in doc["unassessable"]:
+        assert entry["reason"] == "no constant-current charge run of 10 or more samples"
+    assert doc["throughput"]["cycles"] == [2, 3]
+
+
 def _with_cv_taper(log, n=29):
     # after each CC run, n samples at 4.2 V with a decaying current, timed
     # inside the gap before the next row, so every CC row keeps its time

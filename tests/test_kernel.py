@@ -202,8 +202,10 @@ def test_kernel_matrix_rejects_unknown_block():
 def test_hyperparams_roundtrip_and_jitter_floor(ell, sf, sn, alpha):
     hp = Hyperparams(ell, sf, sn, alpha)
     assert Hyperparams(**hp.to_dict()) == hp
-    assert jitter_for(hp) >= 1e-10
     assert jitter_for(hp) >= 1e-12 * sf**2
+    # a fixed fraction of sigma_f^2, as the fit's profiled LML needs
+    assert jitter_for(replace(hp, signal_std=2.0 * sf)) == pytest.approx(
+        4.0 * jitter_for(hp), rel=1e-12)
 
 
 @pytest.mark.parametrize(
