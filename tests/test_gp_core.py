@@ -492,7 +492,11 @@ def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
     (synth.plating_spec, 0),
     # an ascent that L-BFGS-B ends after a failed line search (status 2),
     # and one that the LML_TOL stop ends on a step that lost LML: both
-    # returned a point below the best they had evaluated (2 OpenBLAS threads)
+    # returned a point below the best they had evaluated (2 OpenBLAS threads);
+    # 7 and 1 were those two cases for the four-parameter ascent, 16 and 8
+    # are them for the profiled one
+    (synth.baseline_spec, 7),
+    (synth.baseline_spec, 1),
     (synth.baseline_spec, 16),
     (synth.baseline_spec, 8),
 ])
