@@ -1,12 +1,14 @@
 """Exact GP regression over Q(V).
 
 Conditioning on training data, log marginal likelihood with analytic
-gradients in log-hyperparameter space, and quasi-Newton hyperparameter
-optimization from a given warm start or the best of several default starts,
-all with the kernel and hyperparameter table (``PARAMS``) of ``kernel``.
-The optimization ascends the profiled LML: sigma_f^2 takes its closed-form
+gradients in log-hyperparameter space, and hyperparameter optimization from
+a given warm start or the best of several default starts, all with the
+kernel and hyperparameter table (``PARAMS``) of ``kernel``.  The
+optimization ascends the profiled LML: sigma_f^2 takes its closed-form
 optimum y^T C^-1 y / n at each point (the concentrated likelihood; Santner,
 Williams & Notz 2003, sec. 3.3), so the ascent searches one dimension fewer.
+It is a trust-region Newton method on the profiled LML's exact Hessian
+(Rasmussen & Williams 2006, sec. 5.4.1; Moré & Sorensen 1983).
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -20,31 +22,34 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, OptimizeResult, brentq, minimize
 
 from .errors import AllStartsFailed, FactorizationFailure, NonFinite
-from .kernel import PARAMS, Hyperparams, jitter_for, kernel_matrix, log_param_grads
+from .kernel import (
+    PARAMS,
+    Hyperparams,
+    jitter_for,
+    kernel_matrix,
+    log_param_grads,
+    log_param_hessian,
+)
 
 __all__ = ["TrainingSet", "FittedGP", "log_marginal_likelihood", "fit", "posterior_mean"]
 
-# large finite penalty returned to the optimizer when a Cholesky fails;
-# keeps L-BFGS-B line searches well-behaved
+# the -LML of a point whose LML cannot be evaluated: finite, and worse than
+# any real value, so the ascent rejects a step to it
 _PENALTY = 1e25
 
 _STD_FLOOR = 1e-12
 
-# L-BFGS-B iteration budget of each ascent
+# iteration budget of each ascent; an iteration evaluates at most one point
 MAX_ITER = 200
 
-# an ascent stops at the first iteration that raises the LML by at most this
-# many nats; the test is absolute, so where it stops depends on neither the
-# number of points nor the unit of Q (both shift |LML| by thousands of nats)
+# an ascent stops at a point where the Newton step predicts a gain of at
+# most this many nats; the test is absolute, so where it stops depends on
+# neither the number of points nor the unit of Q (both shift |LML| by
+# thousands of nats)
 LML_TOL = 3e-6
-
-# a warm ascent, which starts near the optimum, stops only after this many
-# such iterations in a row: one quiet iteration moved a warm refit's band
-# half-width by up to 1.2e-3 relative from the cold fit, two by 5.8e-4
-WARM_QUIET_ITERS = 2
 
 
 @dataclass(frozen=True)
@@ -136,19 +141,32 @@ def _scales(train):
 # scipy's: on 2 cores, dpotrf of a 300-point Gram took a median 4.7 ms right
 # after an np.vdot over a 300 x 300 array, against 0.79 ms without it.
 #
-# An evaluation needs len(PARAMS) n x n arrays: the outputs of
+# A value and gradient need len(PARAMS) n x n arrays: the outputs of
 # log_param_grads (K and one per shape parameter) and the noisy Gram matrix,
-# which dpotrf overwrites with the factor and dpotri with Kn^-1.  ``fit``
-# allocates them once and passes them to every evaluation.  Allocated afresh
-# per call, their pages were faulted in again each time: at n = 300 a call
-# took 673 minor page faults and 1.2-1.7 ms of system time out of 5.5-6.1
-# ms, against at most 1 fault, no system time and 3.5-3.6 ms with the arrays
-# reused (300 calls at a fitted optimum, 3 repeats, 2 cores).
+# which dpotrf overwrites with the factor and dpotri with Kn^-1.  The Hessian
+# needs the products Kn^-1 dKn/dtheta of every shape parameter at once: the
+# first goes where K was, the rest into one more array each, and the
+# second-derivative blocks are then built one at a time in two of those.
+# ``fit`` allocates the arrays once and passes them to every evaluation.
+# Allocated afresh per call, their pages were faulted in again each time: at
+# n = 300 a call took 673 minor page faults and 1.2-1.7 ms of system time out
+# of 5.5-6.1 ms, against at most 1 fault, no system time and 3.5-3.6 ms with
+# the arrays reused (300 calls at a fitted optimum, 3 repeats, 2 cores).
+
+
+def _indices():
+    """Indices into ``PARAMS`` of sigma_f, of sigma_n and, in order, of the
+    shape parameters, whose derivatives log_param_grads returns."""
+    names = [p.name for p in PARAMS]
+    i_f, i_n = names.index("signal_std"), names.index("noise_std")
+    return i_f, i_n, [i for i in range(len(PARAMS)) if i not in (i_f, i_n)]
 
 
 def _workspace(n):
-    """The len(PARAMS) n x n arrays one LML evaluation writes into."""
-    return np.empty((len(PARAMS), n, n))
+    """The n x n arrays one LML evaluation writes into: len(PARAMS) for the
+    value and gradient, and one more per shape parameter after the first
+    for the Hessian."""
+    return np.empty((2 * len(PARAMS) - 3, n, n))
 
 
 def _factor(train, hp_i, gram):
@@ -182,64 +200,86 @@ def _factor(train, hp_i, gram):
 
 
 def _half_trace(kinv, a, m):
-    """0.5 tr((a a^T - Kn^-1) M) for a symmetric M.
+    """0.5 tr((a a^T - Kn^-1) M) for a symmetric M, and M a.
 
     ``kinv`` holds Kn^-1 in its lower triangle and zeros above, as dpotri
     leaves it.  tr(Kn^-1 M) = 2 sum(lower(Kn^-1) * M) - sum(diag(Kn^-1) *
     diag(M)), so no n x n temporary is formed.
     """
-    quad = blas.ddot(a, blas.dsymv(1.0, m.T, a, lower=True))
+    m_a = blas.dsymv(1.0, m.T, a, lower=True)
     # kinv.T has the memory layout of m, so einsum streams both
     tr = 2.0 * np.einsum("ij,ij->", kinv.T, m) - np.einsum("ii,ii->", kinv, m)
-    return 0.5 * (quad - tr)
+    return 0.5 * (blas.ddot(a, m_a) - tr), m_a
 
 
 def _peak_on_ray(var, rho):
-    """(sigma_f, sigma_n, whether sigma_n's bound holds it), in units of
-    std(Q), where the LML peaks on the ray sigma_n = rho sigma_f inside both
-    ``PARAMS`` bounds, from the unconstrained peak sigma_f^2 = ``var``.
-    The LML is concave in log sigma_f along the ray, so this projects
-    ``var`` into the bounds; a held parameter equals its bound exactly.
+    """(sigma_f, sigma_n, the name of the row whose bound holds the peak or
+    None), in units of std(Q), where the LML peaks on the ray sigma_n = rho
+    sigma_f inside both ``PARAMS`` bounds, from the unconstrained peak
+    sigma_f^2 = ``var``.  The LML is concave in log sigma_f along the ray,
+    so this projects ``var`` into the bounds; a held parameter equals its
+    bound exactly.
     """
     bounds = {p.name: p.bounds for p in PARAMS}
     sf = min(max(np.sqrt(var), bounds["signal_std"][0]), bounds["signal_std"][1])
     sn = min(max(rho * sf, bounds["noise_std"][0]), bounds["noise_std"][1])
-    if sn == rho * sf:
-        return sf, sn, False
-    return sn / rho, sn, True
+    if sn != rho * sf:
+        return sn / rho, sn, "noise_std"
+    return sf, sn, None if sf == np.sqrt(var) else "signal_std"
 
 
-def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *, profile=False):
+def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
+                            profile=False, order=1):
     """LML of the centered data and its gradient w.r.t. log-hyperparameters.
 
     Returns (value, grad) with grad in ``PARAMS`` order; the value is in
     natural units (standardization only changes it by the constant N log
     std).  Raises FactorizationFailure when the noisy Gram matrix is not
-    positive definite after jitter.  ``work`` is len(PARAMS) float64 (n, n)
-    C-ordered arrays to compute in, as ``_workspace`` makes; their contents
-    are overwritten and do not affect the result.  Without it the
-    evaluation allocates its own.
+    positive definite after jitter.  ``work`` is ``_workspace``'s float64
+    (n, n) C-ordered arrays to compute in; their contents are overwritten
+    and do not affect the result.  Without it the evaluation allocates its
+    own.
 
     With ``profile``, ``hp`` gives only the ray sigma_n / sigma_f = rho,
     and the LML is taken at the sigma_f that maximizes it on that ray
     inside the ``PARAMS`` bounds (``_peak_on_ray``).  Returns (value, grad,
-    hp) with hp that point and value the LML there; grad is the gradient of
-    this profiled LML, which depends on sigma_f and sigma_n only through
-    rho, so its sigma_f entry is minus its sigma_n entry, d/d log rho;
-    hp's noise_std must then be above zero.  Where no bound holds, value
+    hess, hp) with hp that point and value the LML there; grad is the
+    gradient of this profiled LML, which depends on sigma_f and sigma_n
+    only through rho, so its sigma_f entry is minus its sigma_n entry, d/d
+    log rho; hp's noise_std must then be above zero.  hess is its Hessian
+    in ``PARAMS`` order, whose sigma_f row and column are likewise minus
+    sigma_n's.  ``order`` is the highest derivative computed, and those
+    above it are None: 0 needs no inverse of the Gram matrix, 1 (the
+    plain evaluation's only order) no Hessian.  Where no bound holds, value
     and grad equal the plain evaluation at hp (the envelope theorem).
     """
+    if order != 1 and not profile:
+        raise ValueError("only the profiled LML is given at other orders than 1")
     if work is None:
         work = _workspace(len(train))
+    m = len(PARAMS)
     hp_i = _internal_hp(train, hp)
     if profile:
         # C = Kn / sigma_f^2 is the noisy Gram matrix at sigma_f = 1 with
         # noise rho; jitter_for is a fraction of sigma_f^2, so C carries the
         # jitter that _condition adds at every point of the ray
         hp_i = replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / hp_i.signal_std)
-    kf, *d_shape = log_param_grads(train.xs - train.x_mean, hp_i, out=work[:-1])
-    np.copyto(work[-1], kf)
-    chol, a, lml = _factor(train, hp_i, work[-1])
+    xs_c = train.xs - train.x_mean
+    kf, *d_shape = log_param_grads(xs_c, hp_i, out=work[:m - 1])
+    np.copyto(work[m - 1], kf)
+    chol, a, lml = _factor(train, hp_i, work[m - 1])
+
+    if profile:
+        n, rho = len(train), hp_i.noise_std
+        quad = blas.ddot(train.ys_standardized, a)
+        sf, sn, held = _peak_on_ray(quad / n, rho)
+        # Kn = sf^2 C at the peak, so Kn^-1 y = a / sf^2 and each dKn is
+        # sf^2 dC: every trace below is the one at the peak with a / sf
+        lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
+        a = a / sf
+        hp = replace(hp, signal_std=sf * train.y_std, noise_std=sn * train.y_std)
+    if order == 0:
+        return lml, None, None, hp
 
     # d LML / d theta = 0.5 tr((a a^T - Kn^-1) dKn/dtheta); dpotri writes
     # the lower triangle of Kn^-1 over the factor, which is no longer needed
@@ -247,21 +287,11 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *, p
     if info != 0:
         raise FactorizationFailure(f"noisy Gram matrix is singular (pivot {info})")
 
-    if profile:
-        n, rho = len(train), hp_i.noise_std
-        quad = blas.ddot(train.ys_standardized, a)
-        sf, sn, noise_held = _peak_on_ray(quad / n, rho)
-        # Kn = sf^2 C at the peak, so Kn^-1 y = a / sf^2 and each dKn is
-        # sf^2 dC: every trace below is the one at the peak with a / sf
-        lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
-        a = a / sf
-        hp = replace(hp, signal_std=sf * train.y_std, noise_std=sn * train.y_std)
-
     # dKn / d log sigma_n = 2 sigma_n^2 I; each shape row takes the next
     # shape derivative from log_param_grads
     diag = blas.ddot(a, a) - float(np.trace(kinv))
     g_noise = hp_i.noise_std**2 * diag
-    if profile and noise_held:
+    if profile and held == "noise_std":
         # sigma_n held on its bound: sigma_f = sigma_n / rho falls as rho
         # rises, which costs d LML / d log sigma_f + d / d log sigma_n =
         # quad / sf^2 - n, the slope along the ray
@@ -269,16 +299,74 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *, p
     # every kernel is sigma_f^2 times a shape and the jitter a fraction of
     # sigma_f^2, so dKn / d log sigma_f = 2 (Kf + jitter I)
     g_signal = -g_noise if profile else (
-        2.0 * _half_trace(kinv, a, kf) + jitter_for(hp_i) * diag)
-    grad = [
-        g_signal if p.name == "signal_std"
-        else g_noise if p.name == "noise_std"
-        else _half_trace(kinv, a, d_shape.pop(0))
-        for p in PARAMS
-    ]
-    if profile:
-        return lml, np.array(grad), hp
-    return lml, np.array(grad)
+        2.0 * _half_trace(kinv, a, kf)[0] + jitter_for(hp_i) * diag)
+    shape = [_half_trace(kinv, a, d) for d in d_shape]
+    i_f, i_n, i_s = _indices()
+    grad = np.empty(m)
+    grad[i_f], grad[i_n], grad[i_s] = g_signal, g_noise, [g for g, _ in shape]
+    if not profile:
+        return lml, grad
+    if order == 1:
+        return lml, grad, None, hp
+    return lml, grad, _profiled_hessian(
+        xs_c, hp_i, a, kinv, d_shape, [v for _, v in shape],
+        [work[0], *work[m:]], held, quad / sf**2, diag), hp
+
+
+def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag):
+    """The profiled LML's Hessian in ``PARAMS`` order, for
+    ``log_marginal_likelihood``.
+
+    With sigma_f fixed, each pair of log-parameters i, j of C has
+    d2 LML = 0.5 tr((a a^T - C^-1) C_ij) - a^T C_i C^-1 C_j a
+    + 0.5 tr(C^-1 C_i C^-1 C_j), with a = C^-1 y / sigma_f and C_ij the
+    second derivative; log rho's C_i = 2 rho^2 I.  Letting sigma_f follow its
+    peak adds p p^T / (2 n), with p_i = a^T C_i a (the Schur complement of
+    d2 / d log sigma_f^2 = -2 n); a sigma_f held on its bound adds nothing;
+    a sigma_n held on its bound moves log sigma_f by -1 per log rho, which
+    adds p_i to the log rho row and 2 p_rho - 2 ``quad`` on its diagonal,
+    ``quad`` = y^T C^-1 y / sigma_f^2.  ``d_a`` is each shape derivative
+    times a, ``diag`` = a^T a - tr(C^-1), and ``work`` holds one n x n array
+    per shape parameter, which receive C^-1 C_i.  ``held`` is the row whose
+    bound holds the peak, as ``_peak_on_ray`` names it.
+    """
+    ns, n, rho2 = len(d_shape), len(a), hp_i.noise_std**2
+    # kinv is Fortran-ordered with Kn^-1 in its lower triangle, as dsymm
+    # reads it; writing into each buffer's transpose leaves the buffer
+    # holding (C^-1 C_i)^T
+    for d, buf in zip(d_shape, work):
+        blas.dsymm(1.0, kinv, d.T, c=buf.T, overwrite_c=True, lower=True)
+    c_a = blas.dsymv(1.0, kinv, a, lower=True)
+    cinv_d_a = [blas.dsymv(1.0, kinv, v, lower=True) for v in d_a]
+    # the upper triangle over the shape parameters, then log rho
+    h = np.zeros((ns + 1, ns + 1))
+    for s in range(ns):
+        for t in range(s, ns):
+            h[s, t] = (0.5 * np.einsum("ij,ji->", work[s], work[t])
+                       - blas.ddot(d_a[s], cinv_d_a[t]))
+        # tr(C^-1 C^-1 C_s) = sum(C^-1 * (C^-1 C_s)^T), C^-1 from its lower triangle
+        tr = (np.einsum("ij,ij->", kinv, work[s]) + np.einsum("ij,ij->", kinv.T, work[s])
+              - np.einsum("ii,ii->", kinv, work[s]))
+        h[s, ns] = rho2 * (tr - 2.0 * blas.ddot(a, cinv_d_a[s]))
+    frob = 2.0 * np.einsum("ij,ij->", kinv, kinv) - np.einsum("ii,ii->", kinv, kinv)
+    h[ns, ns] = 2.0 * rho2 * (diag + rho2 * (frob - 2.0 * blas.ddot(a, c_a)))
+    # the second-derivative blocks, now that the products are read
+    for s, t, block in log_param_hessian(xs_c, hp_i, d_shape, work[:2]):
+        h[s, t] += _half_trace(kinv, a, block)[0]
+    h = np.triu(h) + np.triu(h, 1).T
+    p = np.array([blas.ddot(a, v) for v in d_a] + [2.0 * rho2 * blas.ddot(a, a)])
+    if held is None:
+        h += np.outer(p, p) / (2.0 * n)
+    elif held == "noise_std":
+        h[ns] += p
+        h[:, ns] += p
+        h[ns, ns] -= 2.0 * quad
+    i_f, i_n, i_s = _indices()
+    full = np.zeros((len(PARAMS), len(PARAMS)))
+    full[np.ix_(i_s + [i_n], i_s + [i_n])] = h
+    full[i_f] = -full[i_n]
+    full[:, i_f] = -full[:, i_n]
+    return full
 
 
 def _condition(train: TrainingSet, hp: Hyperparams, fit_start: str) -> FittedGP:
@@ -297,39 +385,119 @@ def default_inits(train: TrainingSet) -> list[Hyperparams]:
     return [Hyperparams(*map(float, theta)) for theta in zip(*starts)]
 
 
-def _stop_when_quiet(f0, quiet):
-    """L-BFGS-B callback that halts the ascent begun at -LML ``f0`` after
-    ``quiet`` iterations in a row that each gain at most LML_TOL nats."""
-    last, run = f0, 0
+def _trust_region_step(g, eig, vec, radius):
+    """The minimizer of g.p + p.B.p / 2 over |p| <= radius, with B = vec
+    diag(eig) vec^T in ascending order, and whether it lies on the sphere.
 
-    def callback(intermediate_result):
-        nonlocal last, run
-        gain, last = last - intermediate_result.fun, intermediate_result.fun
-        run = run + 1 if gain <= LML_TOL else 0
-        if run >= quiet:
-            raise StopIteration
+    The Newton step when B is positive definite and it fits; otherwise
+    p(lam) = -(B + lam I)^-1 g with lam >= max(0, -eig[0]) the root of
+    1 / |p(lam)| = 1 / radius, found by Brent's method; in the hard case, g
+    orthogonal to the lowest eigenvector, that eigenvector fills the step up
+    to the sphere (Moré & Sorensen 1983).
+    """
+    c = vec.T @ g
+    if eig[0] > 0:
+        p = -vec @ (c / eig)
+        if np.linalg.norm(p) <= radius:
+            return p, False
 
-    return callback
+    def coeffs(lam):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(c == 0.0, 0.0, c / (eig + lam))
+
+    def excess(lam):
+        # 1 / |p(lam)| - 1 / radius rises with lam
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.linalg.norm(coeffs(lam)) - 1.0 / radius
+
+    lam_lo = max(0.0, -eig[0])
+    if excess(lam_lo) < 0:
+        # there every eig + lam >= 2 |g| / radius, so |p| <= radius / 2
+        lam = brentq(excess, lam_lo, lam_lo + 2.0 * np.linalg.norm(g) / radius)
+        return -vec @ coeffs(lam), True
+    p = -vec @ coeffs(lam_lo)
+    return p + np.sqrt(max(radius**2 - p @ p, 0.0)) * vec[:, 0], True
+
+
+def _trust_region_newton(fun, x0, bounds, maxiter, **_):
+    """Minimize ``fun`` inside the box ``bounds`` by trust-region Newton
+    steps; a ``method`` for scipy.optimize.minimize, which also passes
+    arguments this method has no use for.
+
+    ``fun(x)`` returns (f, gradient, Hessian).  A coordinate on the box
+    whose descent direction leaves it is held; each iteration steps the
+    others by ``_trust_region_step`` and clips the step into the box.  A
+    trial point that lowers f is accepted.  The radius starts at 1, is
+    quartered when a step achieves less than a quarter of its predicted
+    fall, and doubles when a step on the sphere achieves more than three
+    quarters (Nocedal & Wright 2006, alg. 4.1).
+
+    Converged (status 0) at a point where the Hessian over the coordinates
+    not held is positive definite and the Newton decrement g^T B^-1 g / 2,
+    the fall the full Newton step predicts, is at most LML_TOL; or when a
+    step whose predicted fall is at most LML_TOL is rejected, because the
+    values then no longer resolve what the model predicts.  Status 1: ``maxiter`` iterations ran
+    out; status 2: f at x0 is _PENALTY.
+    """
+    lo, hi = bounds.lb, bounds.ub
+    x = np.asarray(x0, dtype=float)
+    f, g, b = fun(x)
+    nfev, nit, radius = 1, 0, 1.0
+    status = 2 if f >= _PENALTY else None
+    while status is None:
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        eig, vec = np.linalg.eigh(b[np.ix_(free, free)])
+        c = vec.T @ g[free]
+        if free.sum() == 0 or eig[0] > 0 and 0.5 * np.sum(c * c / eig) <= LML_TOL:
+            status = 0
+            break
+        if nit == maxiter:
+            status = 1
+            break
+        nit += 1
+        p = np.zeros_like(x)
+        p[free], on_sphere = _trust_region_step(g[free], eig, vec, radius)
+        x_new = np.clip(x + p, lo, hi)
+        step = x_new - x
+        predicted = -(g @ step + 0.5 * step @ b @ step)
+        if predicted <= 0:
+            # the clip cost the step its gain
+            radius = 0.25 * np.linalg.norm(p)
+            continue
+        f_new, g_new, b_new = fun(x_new)
+        nfev += 1
+        ratio = (f - f_new) / predicted
+        if ratio < 0.25:
+            radius = 0.25 * np.linalg.norm(step)
+        elif ratio > 0.75 and on_sphere:
+            radius *= 2.0
+        if f_new < f:
+            x, f, g, b = x_new, f_new, g_new, b_new
+        elif predicted <= LML_TOL:
+            status = 0
+    return OptimizeResult(x=x, fun=f, jac=g, hess=b, nit=nit, nfev=nfev,
+                          status=status, success=status == 0)
 
 
 def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
-    """Maximize the LML with L-BFGS-B in log-hyperparameter space.
+    """Maximize the LML by trust-region Newton steps in log-hyperparameter
+    space.
 
     The ascent runs on the profiled LML (``log_marginal_likelihood`` with
     ``profile``), over the log of every ``PARAMS`` row but sigma_f, with
     log(sigma_n / sigma_f) in sigma_n's place: each point it evaluates takes
     the best sigma_f for the rest, so a start counts only through its
-    sigma_n / sigma_f.  With ``start`` (say the previous cycle's optimum),
-    scores that point and ascends from it, stopping after WARM_QUIET_ITERS
-    iterations in a row that each gain at most LML_TOL nats.  Without it,
-    or when that ascent fails (no finite LML, or the iteration budget runs
+    sigma_n / sigma_f.  Each point of an ascent is evaluated with its exact
+    Hessian, and the ascent stops where the Newton step predicts a gain of
+    at most LML_TOL nats (``_trust_region_newton``).  With ``start`` (say
+    the previous cycle's optimum), ascends from that point.  Without it, or
+    when that ascent fails (no finite LML, or the iteration budget runs
     out) or ends with a hyperparameter on a bound, scores the
-    ``default_inits`` and ascends from the best one, stopping after the
-    first iteration that gains at most LML_TOL nats.  The other default
-    starts are ascended, best first, only while the latest ascent fails or
-    ends on a bound.  Returns the conditioned model at the point with the
-    highest LML evaluated, starts included.  ``PARAMS`` gives each
-    log-hyperparameter's bounds; rho's are the ratios they allow.
+    ``default_inits`` by value alone and ascends from the best one.  The
+    other default starts are ascended, best first, only while the latest
+    ascent fails or ends on a bound.  Returns the conditioned model at the
+    point with the highest LML evaluated, starts included.  ``PARAMS`` gives
+    each log-hyperparameter's bounds; rho's are the ratios they allow.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
@@ -337,98 +505,85 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     bounds = np.array([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS])
     lo, hi = np.log(bounds).T
     names = [p.name for p in PARAMS]
-    i_f, i_n = names.index("signal_std"), names.index("noise_std")
+    i_f, i_n, _ = _indices()
     # the ascent's coordinates drop sigma_f and put log rho in sigma_n's
     # place; rho spans every ratio that the sigma_n and sigma_f bounds allow
     lo_r, hi_r = lo.copy(), hi.copy()
     lo_r[i_n], hi_r[i_n] = lo[i_n] - hi[i_f], hi[i_n] - lo[i_f]
-    lo_r, hi_r = np.delete(lo_r, i_f), np.delete(hi_r, i_f)
+    box = Bounds(np.delete(lo_r, i_f), np.delete(hi_r, i_f))
     work = _workspace(len(train))
-    # (-LML, -grad, hyperparameters) of every point scored, in the order
-    # scored: L-BFGS-B's first call repeats the start it ascends from, which
-    # is answered from here, and an ascent can end at a point below the best
-    # one it evaluated
+    # (derivative order, -LML, -grad, -Hessian, hyperparameters) of every
+    # point evaluated, by ascent coordinates, in the order first evaluated:
+    # an ascent starts from a start scored by value alone, and a point is
+    # evaluated again only for higher derivatives
     scored = {}
 
-    def evaluate(x):
-        """The entry of ``scored`` at ascent coordinates ``x``, computed on the
-        first request; (_PENALTY, 0, None) where the LML cannot be evaluated."""
+    def evaluate(x, order):
+        """The entry of ``scored`` at ascent coordinates ``x``, with at least
+        ``order`` derivatives, computed on the first request;
+        (2, _PENALTY, 0, 0, None) where the LML cannot be evaluated."""
         if not np.all(np.isfinite(x)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
         key = x.tobytes()
-        if key not in scored:
+        if key not in scored or scored[key][0] < order:
             # sigma_f = 1 puts rho in sigma_n's place
             ray = Hyperparams(*np.exp(np.insert(x, i_f, 0.0)))
             try:
-                val, grad, hp = log_marginal_likelihood(train, ray, work, profile=True)
+                val, grad, hess, hp = log_marginal_likelihood(
+                    train, ray, work, profile=True, order=order)
             except FactorizationFailure:
                 val = np.nan
-            scored[key] = ((-val, -np.delete(grad, i_f), hp) if np.isfinite(val)
-                           else (_PENALTY, np.zeros(len(x)), None))
+            if not np.isfinite(val):
+                k = len(x)
+                scored[key] = (2, _PENALTY, np.zeros(k), np.zeros((k, k)), None)
+            else:
+                # the ascent's sigma_f row and column are dropped
+                scored[key] = (
+                    order, -val,
+                    None if grad is None else -np.delete(grad, i_f),
+                    None if hess is None else -np.delete(np.delete(hess, i_f, 0), i_f, 1),
+                    hp)
         return scored[key]
 
-    def neg_lml(x):
-        f, g, _ = evaluate(x)
-        return f, g.copy()
+    def objective(x):
+        return evaluate(x, 2)[1:4]
 
-    def score(hp0):
-        """(-LML, ascent coordinates) of a start, clipped into the bounds;
-        a zero noise lands on its lower bound."""
+    def to_ascent(hp0):
+        """Ascent coordinates of a start, clipped into the bounds; a zero
+        noise lands on its lower bound."""
         with np.errstate(divide="ignore"):
             x0 = np.clip(np.log([getattr(hp0, p.name) for p in PARAMS]), lo, hi)
         x0[i_n] -= x0[i_f]
-        x0 = np.delete(x0, i_f)
-        return neg_lml(x0)[0], x0
+        return np.delete(x0, i_f)
 
     def on_bound(x):
         """True when ``x`` is on the box of the ascent or its point has
         sigma_f or sigma_n held on a bound."""
-        hp = evaluate(x)[2]
-        return (np.any((x <= lo_r) | (x >= hi_r))
+        hp = evaluate(x, 0)[-1]
+        return (np.any((x <= box.lb) | (x >= box.ub))
                 or any(getattr(hp, names[i]) in bounds[i] for i in (i_f, i_n)))
 
-    def ascend(f0, x0, quiet):
-        """Ascend from a scored start; True unless the ascent failed or
-        ended with a hyperparameter on a bound."""
-        res = minimize(
-            neg_lml,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo_r, hi_r)),
-            callback=_stop_when_quiet(f0, quiet),
-            # zero switches off L-BFGS-B's own tests (ftol, relative to
-            # |LML|, and gtol on the projected gradient): the callback stops
-            options={"maxiter": MAX_ITER, "gtol": 0.0, "ftol": 0.0},
-        )
-        # status 1 is the iteration budget running out.  Any other status
-        # ends at the optimum the ascent can resolve: 99 is the quiet stop
-        # (scipy's code for a callback halt), 2 a line search that cannot
-        # improve at the precision of the gradient.  With all five cold
-        # starts ascended on plating and no-plating seeds 0-99, every
-        # status-2 run ended within 6.4e-6 nats of the best of the five, and
-        # 906 of the 908 one-quiet stops within 1e-5 (the worst 1.5e-5
-        # short).  A warm start is already near the optimum, where one quiet
-        # iteration can be a lull on the ridge in alpha, so its ascent waits
-        # for WARM_QUIET_ITERS
-        converged = res.status != 1 and res.fun < _PENALTY
-        return converged and not on_bound(res.x)
+    def ascend(x0):
+        """Ascend from x0; True unless the ascent failed or ended with a
+        hyperparameter on a bound."""
+        res = minimize(objective, x0, method=_trust_region_newton, bounds=box,
+                       options={"maxiter": MAX_ITER})
+        return res.success and not on_bound(res.x)
 
-    warm = False
-    if start is not None:
-        f0, x0 = score(start)
-        warm = f0 < _PENALTY and ascend(f0, x0, WARM_QUIET_ITERS)
+    warm = start is not None and ascend(to_ascent(start))
     if not warm:
         # stable sort: ties keep default_inits' order, so the fit stays deterministic
-        starts = sorted((score(hp0) for hp0 in default_inits(train)), key=lambda st: st[0])
+        starts = sorted(((evaluate(x0, 0)[1], x0)
+                         for x0 in map(to_ascent, default_inits(train))),
+                        key=lambda st: st[0])
         for f0, x0 in starts:
-            if f0 < _PENALTY and ascend(f0, x0, 1):
+            if f0 < _PENALTY and ascend(x0):
                 break
     # the closures hold the buffers through their cells; drop them before
     # conditioning allocates its own n x n arrays
     work = None
     # min keeps the first of equal values, so ties go to the earliest point
-    best_f, _, best_hp = min(scored.values(), key=lambda entry: entry[0])
+    _, best_f, _, _, best_hp = min(scored.values(), key=lambda entry: entry[1])
     if best_f >= _PENALTY:
         raise AllStartsFailed("every optimization start failed")
     return _condition(train, best_hp, "warm" if warm else "cold")

@@ -29,6 +29,7 @@ __all__ = [
     "k_dd",
     "kernel_matrix",
     "log_param_grads",
+    "log_param_hessian",
     "jitter_for",
 ]
 
@@ -133,6 +134,15 @@ def kernel_matrix(xs, xs2, hp: Hyperparams, block: str = "VV"):
     return fn(xs[:, None], xs2[None, :], hp)
 
 
+def _rq_u_into(xs, hp: Hyperparams, out):
+    """r - 1 over all pairs of ``xs``, written into ``out`` as _rq_u computes it
+    (bit for bit), for the in-place derivative builders below."""
+    np.subtract.outer(xs, xs, out=out)
+    out *= out
+    out *= 0.5 / (hp.alpha * hp.length_scale**2)
+    return out
+
+
 # log_param_grads runs on every LML evaluation and builds its results in
 # place, one factor at a time; the comment on each step names what the array
 # then holds.  Written as plain expressions (bit for bit the same results) it
@@ -152,9 +162,7 @@ def log_param_grads(xs, hp: Hyperparams, out=None):
     are returned; their contents do not affect the results.
     """
     kv, u, log_r = np.empty((3, len(xs), len(xs))) if out is None else out
-    np.subtract.outer(xs, xs, out=u)
-    u *= u
-    u *= 0.5 / (hp.alpha * hp.length_scale**2)   # r - 1, as _rq_u
+    _rq_u_into(xs, hp, u)           # r - 1, as _rq_u
     np.log1p(u, out=log_r)
     np.add(u, 1.0, out=kv)          # r
     u /= kv                         # q
@@ -167,6 +175,50 @@ def log_param_grads(xs, hp: Hyperparams, out=None):
     u *= kv
     u *= 2.0 * hp.alpha             # k d^2 / (l^2 r)
     return [kv, u, log_r]
+
+
+def log_param_hessian(xs, hp: Hyperparams, grads, out):
+    """Second derivatives of the Gram matrix over ``xs`` w.r.t. the shape
+    log-parameters, one block at a time.
+
+    ``grads`` is the shape derivatives [dK/d log l, dK/d log alpha] that
+    log_param_grads returned for the same xs and hp, and ``out`` two float64
+    (n, n) arrays to compute in.  Yields (i, j, block) for each i <= j whose
+    block is not identically zero, with i and j indices into ``grads``.
+    Each block lives in ``out`` and the next one overwrites it, so a caller
+    reads a block before it advances.  With q = (r-1)/r and k_l, k_a the
+    first derivatives,
+
+        d2k / d log l^2 = 2 k_l ((alpha + 1) q - 1),
+        d2k / d log l d log alpha = q (k_l + 2 alpha k_a),
+        d2k / d log alpha^2 = k_a (1 + alpha (q - log r)) + k_l q / 2,
+
+    from the derivatives of log k = log sigma_f^2 - alpha log r, with
+    d q / d log l = -2 q / r and d q / d log alpha = -q / r.
+    """
+    k_l, k_a = grads
+    q, block = out
+    _rq_u_into(xs, hp, q)
+    np.add(q, 1.0, out=block)       # r
+    q /= block                      # q, as log_param_grads
+    np.multiply(q, 2.0 * (hp.alpha + 1.0), out=block)
+    block -= 2.0
+    block *= k_l
+    yield 0, 0, block
+    np.multiply(k_a, 2.0 * hp.alpha, out=block)
+    block += k_l
+    block *= q
+    yield 0, 1, block
+    np.negative(q, out=block)
+    np.log1p(block, out=block)      # log(1 - q) = -log r
+    block += q
+    block *= hp.alpha
+    block += 1.0
+    block *= k_a
+    q *= k_l
+    q *= 0.5                        # k_l q / 2
+    block += q
+    yield 1, 1, block
 
 
 def jitter_for(hp: Hyperparams) -> float:

@@ -4,14 +4,14 @@ The LML is cross-checked against a dense reimplementation using slogdet
 and a direct solve, with no shared code path.
 """
 
+import itertools
 import tracemalloc
 import weakref
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from dqdv_gp import gp_core, kernel, pipeline, synth
 from dqdv_gp.errors import AllStartsFailed, FactorizationFailure
@@ -112,13 +112,42 @@ def test_rq_lml_gradient_matches_fd():
 def _check_profiled_lml(train, theta, make_hp=Hyperparams):
     # the profiled value is the LML at the peak it reports, and its gradient
     # matches central differences of the profiled value
-    val, grad, peak = log_marginal_likelihood(train, make_hp(*theta), profile=True)
+    val, grad, hess, peak = log_marginal_likelihood(train, make_hp(*theta), profile=True)
+    assert hess is None
     assert isinstance(peak, make_hp)
     assert peak.noise_std / peak.signal_std == pytest.approx(theta[2] / theta[1], rel=1e-12)
     assert val == pytest.approx(log_marginal_likelihood(train, peak)[0], rel=1e-9)
     assert grad[1] == -grad[2]
     _check_lml_gradient(train, theta, make_hp, profile=True)
+    _check_profiled_hessian(train, theta, make_hp)
     return grad, peak
+
+
+def _check_profiled_hessian(train, theta, make_hp):
+    # the Hessian in PARAMS order against central differences of the
+    # analytic profiled gradient, at the same value, gradient and peak as
+    # the first-order evaluation; its sigma_f row and column are minus
+    # sigma_n's, as the profile depends on them only through their ratio
+    hp = make_hp(*theta)
+    with pytest.raises(ValueError, match="profiled"):
+        log_marginal_likelihood(train, hp, order=2)
+    val, grad, hess, peak = log_marginal_likelihood(train, hp, profile=True, order=2)
+    first = log_marginal_likelihood(train, hp, profile=True)
+    assert (val, peak) == (first[0], first[3])
+    assert np.array_equal(grad, first[1])
+    assert hess.shape == (len(theta), len(theta))
+    np.testing.assert_array_equal(hess, hess.T)
+    np.testing.assert_array_equal(hess[1], -hess[2])
+    log_theta, h = np.log(theta), 1e-5
+    fd = np.empty_like(hess)
+    for j in range(len(theta)):
+        tp, tm = log_theta.copy(), log_theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        gp = log_marginal_likelihood(train, make_hp(*np.exp(tp)), profile=True)[1]
+        gm = log_marginal_likelihood(train, make_hp(*np.exp(tm)), profile=True)[1]
+        fd[:, j] = (gp - gm) / (2 * h)
+    np.testing.assert_allclose(hess, fd, rtol=2e-4, atol=2e-4 * np.max(np.abs(fd)))
 
 
 def test_profiled_lml_matches_the_lml_at_its_peak_and_fd():
@@ -381,6 +410,74 @@ def test_fit_stops_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatc
     assert start - best <= 1e-5
 
 
+def _four_cycle_curves(make_spec, seed=0):
+    # a 4-cycle log with fade, cut to 250 points per cycle as analyze's
+    # --max-points 250 cuts fleet logs
+    spec = make_spec(n_cycles=4, n_samples=3000, fade_rate=0.02, seed=seed)
+    curves = log_to_curves(synth.generate_log(spec), vmin=spec.v_range[0],
+                           vmax=spec.v_range[1], capacity_ah=spec.capacity,
+                           max_points=250)
+    assert len(curves) == 4 and all(len(curve) == 250 for curve in curves)
+    return curves
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_refits_stop_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatch):
+    # cycles 2-4 refitted from the previous cycle's optimum, as analyze
+    # chains them: the stop may leave at most 1e-5 nats for a much tighter
+    # ascent, as for a cold fit.  These seeds hold refits that a stop on
+    # quiet iterations ends up to 5e-4 nats short, on the ridge in alpha
+    curves = _four_cycle_curves(make_spec, seed)
+    ascents = []
+
+    def counted(*args, **kwargs):
+        ascents.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(gp_core, "minimize", counted)
+    start = fit(TrainingSet(curves[0].v, curves[0].q)).hp
+    for curve in curves[1:]:
+        train = TrainingSet(curve.v, curve.q)
+        ascents.clear()
+        model = fit(train, start=start)
+        assert model.fit_start == "warm" and len(ascents) == 1, curve.cycle
+        before, best, _ = _tight_ascent(train, model.hp)
+        assert before - best <= 1e-5, curve.cycle
+        start = model.hp
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+def test_fit_evaluation_budget(make_spec, monkeypatch):
+    # LML evaluations per fit, a count that does not depend on the machine:
+    # a cold fit scores the five default starts by value alone and ascends
+    # in at most 16 evaluations; warm refits of cycles 2-4 average at most 6
+    curves = _four_cycle_curves(make_spec)
+    orders = []
+    lml = gp_core.log_marginal_likelihood
+
+    def counted(train, hp, *rest, **kw):
+        orders.append(kw.get("order", 1))
+        return lml(train, hp, *rest, **kw)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
+    start, warm = None, []
+    for curve in curves:
+        train = TrainingSet(curve.v, curve.q)
+        orders.clear()
+        cold = fit(train)
+        assert cold.fit_start == "cold"
+        assert orders[:5] == [0] * 5 and 0 not in orders[5:]
+        assert len(orders) - 5 <= 16, curve.cycle
+        if start is not None:
+            orders.clear()
+            model = fit(train, start=start)
+            assert model.fit_start == "warm" and 0 not in orders
+            warm.append(len(orders))
+        start = (model if start is not None else cold).hp
+    assert np.mean(warm) <= 6, warm
+
+
 @pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
 @pytest.mark.parametrize("seed", range(4))
 def test_fit_meets_the_gate_against_a_tight_ascent(make_spec, seed, monkeypatch):
@@ -425,23 +522,32 @@ def test_lml_into_buffers_is_bit_identical():
     # into the value or any gradient component
     train = _toy_train(300, seed=6)
     n = len(train)
-    work = np.full((4, n, n), np.nan)
+    work = np.full_like(gp_core._workspace(n), np.nan)
     for hp in _scale_cases(train) * 2:
         val, grad = log_marginal_likelihood(train, hp)
         val_w, grad_w = log_marginal_likelihood(train, hp, work)
         assert val_w == val, hp
         assert np.array_equal(grad_w, grad), hp
+        val, grad, hess, peak = log_marginal_likelihood(train, hp, profile=True, order=2)
+        val_w, grad_w, hess_w, peak_w = log_marginal_likelihood(
+            train, hp, work, profile=True, order=2)
+        assert (val_w, peak_w) == (val, peak), hp
+        assert np.array_equal(grad_w, grad), hp
+        assert np.array_equal(hess_w, hess), hp
 
 
 def test_lml_with_warm_buffers_allocates_no_n_by_n_array():
+    # the Hessian's products and second-derivative blocks go into the
+    # workspace, which holds one array more than the gradient needs
     train = _toy_train(300, seed=6)
     n = len(train)
     work = gp_core._workspace(n)
-    for hp in _scale_cases(train):
-        log_marginal_likelihood(train, hp, work)
+    assert len(work) == len(kernel.PARAMS) + 1
+    for hp, kw in itertools.product(_scale_cases(train), [{}, {"profile": True, "order": 2}]):
+        log_marginal_likelihood(train, hp, work, **kw)
         tracemalloc.start()
         try:
-            log_marginal_likelihood(train, hp, work)
+            log_marginal_likelihood(train, hp, work, **kw)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,22 +555,26 @@ def test_lml_with_warm_buffers_allocates_no_n_by_n_array():
 
 
 def test_fit_scores_no_point_twice(monkeypatch):
-    # L-BFGS-B's first call repeats the start it ascends from, which fit has
-    # already scored; fit answers it, and any other repeat, without a second
-    # evaluation
+    # no point is evaluated twice at the same derivative order: the cold
+    # starts are scored by value alone, and the ascent evaluates the best of
+    # them once more, with its Hessian, and every later point once
     curve = _synth_curve(synth.plating_spec, 0)
     train = TrainingSet(curve.v, curve.q)
     calls = []
     lml = gp_core.log_marginal_likelihood
 
     def counted(train, hp, *rest, **kw):
-        calls.append(hp)
+        calls.append((hp, kw.get("order", 1)))
         return lml(train, hp, *rest, **kw)
 
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
     fit(train)
-    assert len(calls) > len(default_inits(train))
+    n_starts = len(default_inits(train))
+    assert len(calls) > n_starts
     assert len(set(calls)) == len(calls)
+    assert [order for _, order in calls[:n_starts]] == [0] * n_starts
+    assert all(order == 2 for _, order in calls[n_starts:])
+    assert calls[n_starts][0] in [hp for hp, _ in calls[:n_starts]]
 
 
 def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
@@ -490,11 +600,10 @@ def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
 
 @pytest.mark.parametrize("make_spec, seed", [
     (synth.plating_spec, 0),
-    # an ascent that L-BFGS-B ends after a failed line search (status 2),
-    # and one that the LML_TOL stop ends on a step that lost LML: both
-    # returned a point below the best they had evaluated (2 OpenBLAS threads);
-    # 7 and 1 were those two cases for the four-parameter ascent, 16 and 8
-    # are them for the profiled one
+    # cycles whose L-BFGS-B ascent ended at a point below the best it had
+    # evaluated, after a failed line search or on a step that lost LML (2
+    # OpenBLAS threads): 7 and 1 for the four-parameter ascent, 16 and 8 for
+    # the profiled one
     (synth.baseline_spec, 7),
     (synth.baseline_spec, 1),
     (synth.baseline_spec, 16),
@@ -507,7 +616,7 @@ def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
     lml = gp_core.log_marginal_likelihood
 
     def recorded(train, hp, *rest, **kw):
-        # profiled: (value, grad, the hyperparameters the value is at)
+        # profiled: (value, grad, hess, the hyperparameters the value is at)
         result = lml(train, hp, *rest, **kw)
         points.append(result)
         return result
@@ -515,25 +624,86 @@ def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
     model = fit(train)
     best = max((p for p in points if np.isfinite(p[0])), key=lambda p: p[0])
-    assert model.hp == best[2]
+    assert model.hp == best[3]
     # the model factors sigma_f^2 C where the fit factored C: at a 300-point
     # optimum each is a few 1e-6 nats from an 80-bit evaluation
     assert model.lml == pytest.approx(best[0], abs=1e-5)
 
 
-def test_two_quiet_stop_waits_for_two_quiet_iterations_in_a_row():
-    quiet_gain = 0.5 * gp_core.LML_TOL
-    one, two = gp_core._stop_when_quiet(0.0, 1), gp_core._stop_when_quiet(0.0, 2)
-    f = 0.0
-    # a quiet iteration that follows a gain does not stop the two-quiet ascent
-    for gain in (1.0, quiet_gain, 1e-3, quiet_gain):
-        f -= gain
-        two(SimpleNamespace(fun=f))
-    with pytest.raises(StopIteration):
-        two(SimpleNamespace(fun=f - quiet_gain))
-    one(SimpleNamespace(fun=-1.0))
-    with pytest.raises(StopIteration):
-        one(SimpleNamespace(fun=-1.0 - quiet_gain))
+def _quadratic(b, x_min):
+    """f = (x - x_min)^T B (x - x_min) / 2 with its gradient and Hessian, for
+    ``gp_core._trust_region_newton``, recording each point it evaluates."""
+    b, x_min = np.asarray(b, dtype=float), np.asarray(x_min, dtype=float)
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        d = x - x_min
+        return 0.5 * d @ b @ d, b @ d, b
+
+    return fun, points
+
+
+def _newton(fun, x0, lo=-10.0, hi=10.0):
+    x0 = np.asarray(x0, dtype=float)
+    return gp_core._trust_region_newton(
+        fun, x0, Bounds(np.full(len(x0), lo), np.full(len(x0), hi)), gp_core.MAX_ITER)
+
+
+def test_newton_stops_where_the_newton_decrement_reaches_lml_tol():
+    # on a quadratic the decrement g^T B^-1 g / 2 is the fall to the minimum;
+    # a start whose decrement is at most LML_TOL stops there, one above it
+    # takes the Newton step, which lands on the minimum and stops
+    b = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1e-4]])
+    for factor, nfev in ((0.99, 1), (1.01, 2)):
+        d = np.array([0.3, -0.2, 0.5])
+        d *= np.sqrt(factor * gp_core.LML_TOL / (0.5 * d @ b @ d))
+        fun, points = _quadratic(b, np.zeros(3))
+        res = _newton(fun, d)
+        assert res.success and res.status == 0
+        assert res.nfev == len(points) == nfev
+        assert res.fun <= gp_core.LML_TOL
+    # far from the minimum along the flat direction the gradient is small
+    # (1e-4) but the decrement is not: the ascent does not stop there
+    fun, points = _quadratic(b, np.zeros(3))
+    res = _newton(fun, [0.0, 0.0, 1.0])
+    assert res.success and len(points) > 1
+    assert res.fun <= gp_core.LML_TOL
+
+
+def test_newton_does_not_stop_where_the_hessian_is_not_positive_definite():
+    # a stationary saddle has zero decrement, but f = x0^2 / 2 + cos(x1)
+    # falls along x1: the ascent leaves it for the minimum at x1 = pi
+    def fun(x):
+        f = 0.5 * x[0] ** 2 + np.cos(x[1])
+        return f, np.array([x[0], -np.sin(x[1])]), np.array([[1.0, 0.0], [0.0, -np.cos(x[1])]])
+
+    res = _newton(fun, [0.0, 0.0])
+    assert res.success
+    assert abs(res.x[1]) == pytest.approx(np.pi, abs=1e-3)
+    assert res.fun == pytest.approx(-1.0, abs=gp_core.LML_TOL)
+
+
+def test_newton_holds_coordinates_whose_descent_leaves_the_box():
+    # the minimum lies past the upper bound of x1: x1 ends on it, and the
+    # decrement over x0 alone stops the ascent there
+    fun, _ = _quadratic([[1.0, 0.3], [0.3, 1.0]], [0.2, 3.0])
+    res = _newton(fun, [0.0, 0.0], lo=-1.0, hi=1.0)
+    assert res.success
+    assert res.x[1] == 1.0
+    # the best x0 with x1 held at 1: 0.2 - 0.3 (1 - 3)
+    assert res.x[0] == pytest.approx(0.8, abs=1e-3)
+
+
+def test_newton_reports_a_start_it_cannot_evaluate_and_a_spent_budget():
+    def failing(x):
+        return gp_core._PENALTY, np.zeros(len(x)), np.zeros((len(x), len(x)))
+
+    res = _newton(failing, [0.0, 0.0])
+    assert not res.success and res.status == 2 and res.nfev == 1
+    fun, _ = _quadratic(np.eye(2), [5.0, 5.0])
+    res = gp_core._trust_region_newton(fun, np.zeros(2), Bounds([-10.0] * 2, [10.0] * 2), 2)
+    assert not res.success and res.status == 1 and res.nit == 2
 
 
 def _gate_failures(cold, warm):
@@ -667,6 +837,14 @@ def _offset_log_param_grads(xs, hp, out=None):
     return list(out)
 
 
+def _offset_log_param_hessian(xs, hp, grads, out):
+    # the offset's only non-zero second derivative is d2K / d log b^2 = 4 c
+    rq, c = _offset_rq(hp)
+    yield from kernel.log_param_hessian(xs, rq, grads[:2], out)
+    out[0][...] = 4.0 * c
+    yield 2, 2, out[0]
+
+
 def _offset_kernel_matrix(xs, xs2, hp, block="VV"):
     assert block == "VV"
     rq, c = _offset_rq(hp)
@@ -675,15 +853,17 @@ def _offset_kernel_matrix(xs, xs2, hp, block="VV"):
 
 def test_a_fifth_parameter_fits_through_the_table(monkeypatch):
     # RQ plus a dimensionless offset b: a kernel with one more row in
-    # PARAMS reaches the LML gradient, the bounds and the starts with no
-    # edit to fit
+    # PARAMS reaches the LML gradient and Hessian, the bounds and the starts
+    # with no edit to fit
     params = kernel.PARAMS + (kernel.Param("offset", "", (1e-3, 10.0), (0.1,)),)
     monkeypatch.setattr(gp_core, "PARAMS", params)
     monkeypatch.setattr(gp_core, "Hyperparams", _OffsetHyperparams)
     monkeypatch.setattr(gp_core, "log_param_grads", _offset_log_param_grads)
+    monkeypatch.setattr(gp_core, "log_param_hessian", _offset_log_param_hessian)
     monkeypatch.setattr(gp_core, "kernel_matrix", _offset_kernel_matrix)
     train = _toy_train(40, seed=5)
-    assert len(gp_core._workspace(len(train))) == 5
+    # five for the gradient, and one more per shape parameter after the first
+    assert len(gp_core._workspace(len(train))) == 7
     _check_lml_gradient(train, np.array([0.2, 0.02, 1e-3, 2.0, 0.3]), _OffsetHyperparams)
     _check_profiled_lml(train, np.array([0.2, 0.02, 1e-3, 2.0, 0.3]), _OffsetHyperparams)
 

@@ -16,6 +16,7 @@ from dqdv_gp.kernel import (
     k_dd,
     kernel_matrix,
     log_param_grads,
+    log_param_hessian,
 )
 
 HP = Hyperparams(length_scale=0.1, signal_std=0.02, noise_std=1e-4)
@@ -185,6 +186,32 @@ def test_log_param_grads_match_fd_of_kernel_matrix():
             km = kernel_matrix(xs, xs, replace(hp, **{field: value * np.exp(-h)}), "VV")
             fd = (kp - km) / (2 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9 * hp.signal_std**2)
+
+
+def test_log_param_hessian_matches_fd_of_log_param_grads():
+    # every block with i <= j, each read before the generator advances,
+    # against central differences of the first derivatives
+    rng = np.random.default_rng(46)
+    xs = np.linspace(-0.65, 0.65, 30)
+    names = ("length_scale", "alpha")
+    for _ in range(10):
+        hp = _rand_rq_hp(rng)
+        _, *grads = log_param_grads(xs, hp)
+        fd = []
+        for field in names:
+            h = 1e-5
+            value = getattr(hp, field)
+            _, *gp = log_param_grads(xs, replace(hp, **{field: value * np.exp(h)}))
+            _, *gm = log_param_grads(xs, replace(hp, **{field: value * np.exp(-h)}))
+            fd.append([(p - m) / (2 * h) for p, m in zip(gp, gm)])
+        out = np.full((2, len(xs), len(xs)), np.nan)
+        seen = []
+        for i, j, block in log_param_hessian(xs, hp, grads, out):
+            seen.append((i, j))
+            assert np.shares_memory(block, out)
+            np.testing.assert_allclose(block, fd[j][i], rtol=1e-5,
+                                       atol=1e-8 * hp.signal_std**2 * max(1.0, hp.alpha))
+        assert seen == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_kernel_matrix_rejects_unknown_block():
