@@ -14,7 +14,7 @@ class AllStartsFailed(DqdvGpError):
 
 
 class NonFinite(DqdvGpError):
-    """The optimization objective became non-finite."""
+    """The optimization objective, or the spread of a Q(V) curve's charge, is non-finite."""
 
 
 class MalformedHeader(DqdvGpError):

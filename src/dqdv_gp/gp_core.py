@@ -141,12 +141,12 @@ def _scales(train):
 # scipy's: on 2 cores, dpotrf of a 300-point Gram took a median 4.7 ms right
 # after an np.vdot over a 300 x 300 array, against 0.79 ms without it.
 #
-# A value and gradient need len(PARAMS) n x n arrays: the outputs of
-# log_param_grads (K and one per shape parameter) and the noisy Gram matrix,
-# which dpotrf overwrites with the factor and dpotri with Kn^-1.  The Hessian
-# needs the products Kn^-1 dKn/dtheta of every shape parameter at once: the
-# first goes where K was, the rest into one more array each, and the
-# second-derivative blocks are then built one at a time in two of those.
+# A value and gradient need the len(PARAMS) - 1 outputs of log_param_grads:
+# K, to which _factor adds the noise diagonal and which dpotrf then
+# overwrites with the factor and dpotri with C^-1, and one per shape
+# parameter.  The Hessian needs the products C^-1 dC/dtheta of every shape
+# parameter at once, in one more array each, and the second-derivative
+# blocks are then built one at a time in two of those.
 # ``fit`` allocates the arrays once and passes them to every evaluation.
 # Allocated afresh per call, their pages were faulted in again each time: at
 # n = 300 a call took 673 minor page faults and 1.2-1.7 ms of system time out
@@ -163,9 +163,8 @@ def _indices():
 
 
 def _workspace(n):
-    """The n x n arrays one LML evaluation writes into: len(PARAMS) for the
-    value and gradient, and one more per shape parameter after the first
-    for the Hessian."""
+    """The n x n arrays one LML evaluation writes into: len(PARAMS) - 1 for
+    the value and gradient, and one per shape parameter for the Hessian."""
     return np.empty((2 * len(PARAMS) - 3, n, n))
 
 
@@ -200,10 +199,10 @@ def _factor(train, hp_i, gram):
 
 
 def _half_trace(kinv, a, m):
-    """0.5 tr((a a^T - Kn^-1) M) for a symmetric M, and M a.
+    """0.5 tr((a a^T - C^-1) M) for a symmetric M, and M a.
 
-    ``kinv`` holds Kn^-1 in its lower triangle and zeros above, as dpotri
-    leaves it.  tr(Kn^-1 M) = 2 sum(lower(Kn^-1) * M) - sum(diag(Kn^-1) *
+    ``kinv`` holds C^-1 in its lower triangle and zeros above, as dpotri
+    leaves it.  tr(C^-1 M) = 2 sum(lower(C^-1) * M) - sum(diag(C^-1) *
     diag(M)), so no n x n temporary is formed.
     """
     m_a = blas.dsymv(1.0, m.T, a, lower=True)
@@ -234,11 +233,12 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
 
     Returns (value, grad) with grad in ``PARAMS`` order; the value is in
     natural units (standardization only changes it by the constant N log
-    std).  Raises FactorizationFailure when the noisy Gram matrix is not
-    positive definite after jitter.  ``work`` is ``_workspace``'s float64
-    (n, n) C-ordered arrays to compute in; their contents are overwritten
-    and do not affect the result.  Without it the evaluation allocates its
-    own.
+    std).  Every evaluation factors C = Kn / sigma_f^2, a function of rho =
+    sigma_n / sigma_f, and scales it to the sigma_f of ``hp``.  Raises
+    FactorizationFailure when C is not positive definite after jitter.
+    ``work`` is ``_workspace``'s float64 (n, n) C-ordered arrays to compute
+    in; their contents are overwritten and do not affect the result.
+    Without it the evaluation allocates its own.
 
     With ``profile``, ``hp`` gives only the ray sigma_n / sigma_f = rho,
     and the LML is taken at the sigma_f that maximizes it on that ray
@@ -259,58 +259,52 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
         work = _workspace(len(train))
     m = len(PARAMS)
     hp_i = _internal_hp(train, hp)
-    if profile:
-        # C = Kn / sigma_f^2 is the noisy Gram matrix at sigma_f = 1 with
-        # noise rho; jitter_for is a fraction of sigma_f^2, so C carries the
-        # jitter that _condition adds at every point of the ray
-        hp_i = replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / hp_i.signal_std)
+    sf, held = hp_i.signal_std, None
+    # C is the noisy Gram matrix at sigma_f = 1 with noise rho; jitter_for is a
+    # fraction of sigma_f^2, so C carries the jitter _condition adds at any sigma_f
+    hp_i = replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / sf)
     xs_c = train.xs - train.x_mean
-    kf, *d_shape = log_param_grads(xs_c, hp_i, out=work[:m - 1])
-    np.copyto(work[m - 1], kf)
-    chol, a, lml = _factor(train, hp_i, work[m - 1])
+    _, *d_shape = log_param_grads(xs_c, hp_i, out=work[:m - 1])
+    chol, a, lml = _factor(train, hp_i, work[0])
 
+    n, rho, quad = len(train), hp_i.noise_std, blas.ddot(train.ys_standardized, a)
     if profile:
-        n, rho = len(train), hp_i.noise_std
-        quad = blas.ddot(train.ys_standardized, a)
         sf, sn, held = _peak_on_ray(quad / n, rho)
-        # Kn = sf^2 C at the peak, so Kn^-1 y = a / sf^2 and each dKn is
-        # sf^2 dC: every trace below is the one at the peak with a / sf
-        lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
-        a = a / sf
         hp = replace(hp, signal_std=sf * train.y_std, noise_std=sn * train.y_std)
+    # Kn = sf^2 C, so Kn^-1 y = a / sf^2 and each dKn is sf^2 dC: every
+    # trace below is the one at sf with a / sf
+    lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
+    a = a / sf
     if order == 0:
         return lml, None, None, hp
 
-    # d LML / d theta = 0.5 tr((a a^T - Kn^-1) dKn/dtheta); dpotri writes
-    # the lower triangle of Kn^-1 over the factor, which is no longer needed
+    # d LML / d theta = 0.5 tr((a a^T - C^-1) dC/dtheta); dpotri writes
+    # the lower triangle of C^-1 over the factor, which is no longer needed
     kinv, info = lapack.dpotri(chol, lower=True, overwrite_c=True)
     if info != 0:
         raise FactorizationFailure(f"noisy Gram matrix is singular (pivot {info})")
 
-    # dKn / d log sigma_n = 2 sigma_n^2 I; each shape row takes the next
-    # shape derivative from log_param_grads
+    # dC / d log sigma_n = 2 rho^2 I; each shape row takes the next shape
+    # derivative from log_param_grads
     diag = blas.ddot(a, a) - float(np.trace(kinv))
-    g_noise = hp_i.noise_std**2 * diag
-    if profile and held == "noise_std":
-        # sigma_n held on its bound: sigma_f = sigma_n / rho falls as rho
-        # rises, which costs d LML / d log sigma_f + d / d log sigma_n =
-        # quad / sf^2 - n, the slope along the ray
-        g_noise -= quad / sf**2 - n
+    g_noise = rho**2 * diag
     # every kernel is sigma_f^2 times a shape and the jitter a fraction of
-    # sigma_f^2, so dKn / d log sigma_f = 2 (Kf + jitter I)
-    g_signal = -g_noise if profile else (
-        2.0 * _half_trace(kinv, a, kf)[0] + jitter_for(hp_i) * diag)
+    # sigma_f^2, so dKn / d log sigma_f = 2 (Kn - sigma_n^2 I): the sigma_f
+    # and sigma_n entries sum to y^T Kn^-1 y - n, the slope along the ray
+    slope = quad / sf**2 - n
+    if held == "noise_std":
+        # sigma_n held on its bound: sigma_f = sigma_n / rho falls as rho rises
+        g_noise -= slope
     shape = [_half_trace(kinv, a, d) for d in d_shape]
     i_f, i_n, i_s = _indices()
     grad = np.empty(m)
-    grad[i_f], grad[i_n], grad[i_s] = g_signal, g_noise, [g for g, _ in shape]
-    if not profile:
-        return lml, grad
+    grad[i_f] = -g_noise if profile else slope - g_noise
+    grad[i_n], grad[i_s] = g_noise, [g for g, _ in shape]
     if order == 1:
-        return lml, grad, None, hp
+        return (lml, grad, None, hp) if profile else (lml, grad)
     return lml, grad, _profiled_hessian(
         xs_c, hp_i, a, kinv, d_shape, [v for _, v in shape],
-        [work[0], *work[m:]], held, quad / sf**2, diag), hp
+        work[m - 1:], held, quad / sf**2, diag), hp
 
 
 def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag):
@@ -331,7 +325,7 @@ def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag)
     bound holds the peak, as ``_peak_on_ray`` names it.
     """
     ns, n, rho2 = len(d_shape), len(a), hp_i.noise_std**2
-    # kinv is Fortran-ordered with Kn^-1 in its lower triangle, as dsymm
+    # kinv is Fortran-ordered with C^-1 in its lower triangle, as dsymm
     # reads it; writing into each buffer's transpose leaves the buffer
     # holding (C^-1 C_i)^T
     for d, buf in zip(d_shape, work):
@@ -475,8 +469,7 @@ def _trust_region_newton(fun, x0, bounds, maxiter, **_):
             x, f, g, b = x_new, f_new, g_new, b_new
         elif predicted <= LML_TOL:
             status = 0
-    return OptimizeResult(x=x, fun=f, jac=g, hess=b, nit=nit, nfev=nfev,
-                          status=status, success=status == 0)
+    return OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, status=status, success=status == 0)
 
 
 def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:

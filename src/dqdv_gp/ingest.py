@@ -22,6 +22,7 @@ from .errors import (
     EmptyLog,
     MalformedHeader,
     NoChargeSegments,
+    NonFinite,
     NonMonotonicTime,
     TooFewPoints,
 )
@@ -324,8 +325,9 @@ def clean_qv(
     ratcheting them upward), and downsamples uniformly in V to at most
     ``max_points`` keeping the endpoints.  Charge is re-zeroed at the first
     kept sample.  Raises TooFewPoints when fewer than ``MIN_POINTS`` remain
-    or the charge does not rise, and ValueError when ``max_points`` is below
-    ``MIN_POINTS``.
+    or the charge does not rise, NonFinite when the kept charge's spread,
+    which the fit scales by, is not finite in float64, and ValueError when
+    ``max_points`` is below ``MIN_POINTS``.
     """
     if max_points < MIN_POINTS:
         raise ValueError(f"max_points must be at least {MIN_POINTS}, got {max_points}")
@@ -365,4 +367,7 @@ def clean_qv(
 
     if len(v) < MIN_POINTS:
         raise TooFewPoints(f"fewer than {MIN_POINTS} points after downsampling")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.std(q)):
+            raise NonFinite("the spread of the charge is not finite in float64")
     return QVCurve(v=v, q=q, cycle=curve.cycle, over_capacity=curve.over_capacity)

@@ -319,11 +319,19 @@ def _paused(data):
     return "paused.csv", "\n".join([header, *rows, ""]).encode()
 
 
+def _huge_current(data):
+    # currents scaled by 1e200: a charge whose spread overflows float64
+    header, *rows = data.decode().splitlines()
+    body = [f"{t},{float(i) * 1e200!r},{v},{c}"
+            for t, i, v, c in (row.split(",") for row in rows)]
+    return "huge.csv", "\n".join([header, *body, ""]).encode()
+
+
 @pytest.mark.parametrize("damage, error", [
     (_truncated_gz, "EOFError"), (_corrupt_gz, "error"), (_not_utf8, "UnicodeDecodeError"),
     (_wide_header, "Error"), (_wide_field, "Error"),
     (_positive_discharge, "TooFewPoints"), (_negative_current, "NoChargeSegments"),
-    (_paused, "RepeatedCycle")])
+    (_paused, "RepeatedCycle"), (_huge_current, "NonFinite")])
 def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, damage, error):
     good = _run_synth(tmp_path, "--n-samples", "100")
     name, data = damage(good.read_bytes())
@@ -331,7 +339,8 @@ def test_analyze_unreadable_input_does_not_stop_the_others(tmp_path, capsys, dam
     bad.write_bytes(data)
     out = tmp_path / "report"
     assert main(["analyze", str(bad), str(good), "--out", str(out)]) == 1
-    assert f"error: {bad}: {error}: " in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and f"error: {bad}: {error}: " in errors[0]
     assert json.loads((out / "log_report.json").read_text())["cycles"][0]["cycle"] == 1
     # the bad input wrote nothing
     assert all(p.name.startswith("log_") for p in out.iterdir())

@@ -163,6 +163,10 @@ def test_profiled_lml_matches_the_lml_at_its_peak_and_fd():
         # (the envelope theorem)
         full = log_marginal_likelihood(train, peak)[1]
         np.testing.assert_allclose(grad, full, rtol=1e-5, atol=1e-6)
+        # both factor the same C, so the l, sigma_n and alpha entries, which
+        # share their traces, agree to rounding
+        np.testing.assert_allclose(grad[[0, 2, 3]], full[[0, 2, 3]], rtol=0,
+                                   atol=1e-14 * np.max(np.abs(full)))
 
 
 @pytest.mark.parametrize("row, bounds, held", [
@@ -538,7 +542,8 @@ def test_lml_into_buffers_is_bit_identical():
 
 def test_lml_with_warm_buffers_allocates_no_n_by_n_array():
     # the Hessian's products and second-derivative blocks go into the
-    # workspace, which holds one array more than the gradient needs
+    # workspace, which holds one array per shape parameter more than the
+    # gradient needs
     train = _toy_train(300, seed=6)
     n = len(train)
     work = gp_core._workspace(n)
@@ -862,7 +867,7 @@ def test_a_fifth_parameter_fits_through_the_table(monkeypatch):
     monkeypatch.setattr(gp_core, "log_param_hessian", _offset_log_param_hessian)
     monkeypatch.setattr(gp_core, "kernel_matrix", _offset_kernel_matrix)
     train = _toy_train(40, seed=5)
-    # five for the gradient, and one more per shape parameter after the first
+    # four for the gradient, and one per shape parameter for the Hessian
     assert len(gp_core._workspace(len(train))) == 7
     _check_lml_gradient(train, np.array([0.2, 0.02, 1e-3, 2.0, 0.3]), _OffsetHyperparams)
     _check_profiled_lml(train, np.array([0.2, 0.02, 1e-3, 2.0, 0.3]), _OffsetHyperparams)

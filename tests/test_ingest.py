@@ -12,6 +12,7 @@ from dqdv_gp.errors import (
     EmptyLog,
     MalformedHeader,
     NoChargeSegments,
+    NonFinite,
     NonMonotonicTime,
     TooFewPoints,
 )
@@ -408,6 +409,18 @@ class TestCleanQv:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             clean_qv(QVCurve(v=np.array([3.0, 3.1, 3.2]), q=np.zeros(3), cycle=1))
+
+    @pytest.mark.parametrize("scale, last", [
+        (1e155, 0.045), (1e306, 0.045), (1.0, np.inf), (1.0, np.nan)])
+    def test_charge_whose_spread_is_not_finite(self, scale, last):
+        # from 1e155 on, the std of the charge overflows though every charge
+        # is finite; at 1e154 the curve still cleans
+        v = np.linspace(2.8, 4.1, 200)
+        q = np.linspace(0.0, 0.045, 200)
+        clean_qv(QVCurve(v=v, q=q * 1e154, cycle=1))
+        q[-1] = last
+        with pytest.raises(NonFinite, match="spread"):
+            clean_qv(QVCurve(v=v, q=q * scale, cycle=1))
 
     @pytest.mark.parametrize("max_points", [0, 3])
     def test_max_points_below_minimum(self, max_points):
