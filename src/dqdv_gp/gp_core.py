@@ -371,11 +371,32 @@ def _condition(train: TrainingSet, hp: Hyperparams, fit_start: str) -> FittedGP:
                     fit_start=fit_start)
 
 
+def _pseudo_residual_noise(train):
+    """The noise std that the pseudo-residuals of neighbouring points
+    estimate, in natural units (Gasser, Sroka & Jennen-Steinmetz 1986,
+    Biometrika 73:625): for each interior point i, with
+    a = (x[i+1] - x[i]) / (x[i+1] - x[i-1]) and b = 1 - a,
+    e = (a y[i-1] + b y[i+1] - y[i]) / sqrt(a^2 + b^2 + 1), and the estimate
+    is sqrt(mean(e^2)).  The weights interpolate linearly, so a straight
+    line, evenly spaced or not, estimates 0."""
+    xs, ys = train.xs, train.ys
+    a = (xs[2:] - xs[1:-1]) / (xs[2:] - xs[:-2])
+    b = 1.0 - a
+    e = (a * ys[:-2] + b * ys[2:] - ys[1:-1]) / np.sqrt(a * a + b * b + 1.0)
+    return float(np.sqrt(np.mean(e * e)))
+
+
 def default_inits(train: TrainingSet) -> list[Hyperparams]:
     """Multi-start initializations: each parameter's ``PARAMS`` starts times
-    its unit's scale (the voltage span, or the sample std of ys)."""
+    its unit's scale (the voltage span, or the sample std of ys), except
+    that noise_std's starts are multiples of the pseudo-residual estimate
+    (``_pseudo_residual_noise``); its bounds stay multiples of std(ys).  An
+    estimate of 0 (noise-free or constant data) is clipped onto noise_std's
+    lower bound by the fit."""
     scale = _scales(train)
-    starts = np.broadcast_arrays(*(np.multiply(p.starts, scale[p.unit]) for p in PARAMS))
+    start_scale = {p.name: scale[p.unit] for p in PARAMS}
+    start_scale["noise_std"] = _pseudo_residual_noise(train)
+    starts = np.broadcast_arrays(*(np.multiply(p.starts, start_scale[p.name]) for p in PARAMS))
     return [Hyperparams(*map(float, theta)) for theta in zip(*starts)]
 
 

@@ -37,7 +37,12 @@ __all__ = [
 class Param(NamedTuple):
     """A ``Hyperparams`` field, its unit ("V" scales with the voltage span,
     "Ah" with std(Q), "" is dimensionless), and in that unit the fit's
-    (lower, upper) bounds and default starts (a single start is shared)."""
+    (lower, upper) bounds and default starts (a single start is shared).
+
+    noise_std's starts are the exception: they are multiples of the noise
+    that the data's pseudo-residuals estimate (Gasser, Sroka &
+    Jennen-Steinmetz 1986; ``gp_core.default_inits``), while its bounds
+    stay multiples of std(Q)."""
 
     name: str
     unit: str
@@ -49,8 +54,8 @@ class Param(NamedTuple):
 PARAMS = (
     Param("length_scale", "V", (1e-4, 10.0), (0.02, 0.05, 0.10, 0.20, 0.40)),
     Param("signal_std", "Ah", (1e-6, 1e3), (1.0,)),
-    Param("noise_std", "Ah", (1e-8, 1.0), (0.01,)),
-    Param("alpha", "", (1e-2, 1e3), (1.0,)),
+    Param("noise_std", "Ah", (1e-8, 1.0), (1.0,)),
+    Param("alpha", "", (1e-2, 1e3), (0.1,)),
 )
 
 

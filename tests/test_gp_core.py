@@ -278,9 +278,11 @@ def test_fit_evaluates_through_module_lml(monkeypatch):
 
 def test_fit_optimizes_alpha():
     train = _toy_train(50, seed=4)
-    assert all(hp0.alpha == 1.0 for hp0 in default_inits(train))
+    (row,) = [p for p in kernel.PARAMS if p.name == "alpha"]
+    (alpha0,) = row.starts
+    assert all(hp0.alpha == alpha0 for hp0 in default_inits(train))
     alpha = fit(train).hp.alpha
-    assert alpha != 1.0 and 1e-2 <= alpha <= 1e3
+    assert alpha != alpha0 and row.bounds[0] <= alpha <= row.bounds[1]
 
 
 def test_lml_single_zero_observation():
@@ -480,6 +482,75 @@ def test_fit_evaluation_budget(make_spec, monkeypatch):
             warm.append(len(orders))
         start = (model if start is not None else cold).hp
     assert np.mean(warm) <= 6, warm
+
+
+def test_cold_fit_budget_from_the_data_derived_starts(monkeypatch):
+    # the default starts put sigma_n at the pseudo-residual estimate and
+    # alpha at 0.1, near where a cold fit ends: over plating and no-plating
+    # seeds 0-4, each cold fit scores exactly the five starts and then
+    # evaluates the Hessian at most 8 times on average
+    orders = []
+    lml = gp_core.log_marginal_likelihood
+
+    def counted(train, hp, *rest, **kw):
+        orders.append(kw.get("order", 1))
+        return lml(train, hp, *rest, **kw)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
+    hessians = []
+    for make_spec in (synth.plating_spec, synth.baseline_spec):
+        for seed in range(5):
+            curve = _synth_curve(make_spec, seed)
+            orders.clear()
+            assert fit(TrainingSet(curve.v, curve.q)).fit_start == "cold"
+            assert orders.count(0) == 5 and orders[:5] == [0] * 5
+            hessians.append(orders.count(2))
+    assert np.mean(hessians) <= 8, hessians
+
+
+def _noise_start(train):
+    (start,) = {hp.noise_std for hp in default_inits(train)}
+    return start
+
+
+def test_noise_start_vanishes_on_a_line_and_the_fit_holds_it_on_its_bound(monkeypatch):
+    # the pseudo-residual weights interpolate linearly, so unevenly spaced
+    # points on a line estimate no noise; the fit clips the zero start onto
+    # sigma_n's lower bound, scores it there, and ends at that bound (up to
+    # 10%: far below the jitter's sqrt(1e-10) sigma_f the LML barely moves
+    # with sigma_n)
+    rng = np.random.default_rng(0)
+    xs = np.sort(rng.uniform(2.8, 4.1, 60))
+    train = TrainingSet(xs, 0.035 * (xs - 2.8) + 0.002)
+    assert _noise_start(train) <= 1e-14 * train.y_std
+    (row,) = [p for p in kernel.PARAMS if p.name == "noise_std"]
+    lower = row.bounds[0] * train.y_std
+    scored = []
+    lml = gp_core.log_marginal_likelihood
+
+    def recorded(train, hp, *rest, **kw):
+        out = lml(train, hp, *rest, **kw)
+        scored.append(out[-1])
+        return out
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    model = fit(train)
+    assert scored[0].noise_std == pytest.approx(lower, rel=1e-12)
+    assert model.fit_start == "cold" and lower <= model.hp.noise_std <= 1.1 * lower
+
+
+def test_noise_start_scales_with_the_unit_of_q():
+    train = _toy_train(80, seed=2)
+    scaled = TrainingSet(train.xs, 1000.0 * train.ys)
+    assert _noise_start(scaled) == pytest.approx(1000.0 * _noise_start(train), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-3])
+def test_noise_start_estimates_the_noise_of_a_smooth_curve(sigma):
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(2.8, 4.1, 2000))
+    ys = 0.03 * np.sin(3.0 * xs) + 0.01 * xs + rng.normal(0.0, sigma, len(xs))
+    assert _noise_start(TrainingSet(xs, ys)) == pytest.approx(sigma, rel=0.1)
 
 
 @pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
