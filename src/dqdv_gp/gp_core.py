@@ -503,22 +503,24 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     the best sigma_f for the rest, so a start counts only through its
     sigma_n / sigma_f.  Each point of an ascent is evaluated with its exact
     Hessian, and the ascent stops where the Newton step predicts a gain of
-    at most LML_TOL nats (``_trust_region_newton``).  With ``start`` (say
-    the previous cycle's optimum), ascends from that point.  Without it, or
-    when that ascent fails (no finite LML, or the iteration budget runs
-    out) or ends with a hyperparameter on a bound, scores the
-    ``default_inits`` by value alone and ascends from the best one.  The
-    other default starts are ascended, best first, only while the latest
-    ascent fails or ends on a bound.  Returns the conditioned model at the
-    point with the highest LML evaluated, starts included.  ``PARAMS`` gives
-    each log-hyperparameter's bounds; rho's are the ratios they allow.
+    at most LML_TOL nats over the coordinates not held on a bound
+    (``_trust_region_newton``).  An ascent that ends with a hyperparameter
+    on a bound has so found a constrained maximum (a KKT point; Nocedal &
+    Wright 2006, sec. 12.3), and that is the answer as an interior maximum
+    is.  With ``start`` (say the previous cycle's optimum), ascends from
+    that point.  Without it, or when that ascent fails (no finite LML, or
+    the iteration budget runs out), scores the ``default_inits`` by value
+    alone and ascends from the best one.  A later start is ascended, best
+    first, only when an ascent fails.  Returns the conditioned model at the
+    point with the highest LML evaluated, starts included.  ``PARAMS``
+    gives each log-hyperparameter's bounds; rho's are the ratios they
+    allow.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
     scale = _scales(train)
     bounds = np.array([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS])
     lo, hi = np.log(bounds).T
-    names = [p.name for p in PARAMS]
     i_f, i_n, _ = _indices()
     # the ascent's coordinates drop sigma_f and put log rho in sigma_n's
     # place; rho spans every ratio that the sigma_n and sigma_f bounds allow
@@ -526,41 +528,30 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     lo_r[i_n], hi_r[i_n] = lo[i_n] - hi[i_f], hi[i_n] - lo[i_f]
     box = Bounds(np.delete(lo_r, i_f), np.delete(hi_r, i_f))
     work = _workspace(len(train))
-    # (derivative order, -LML, -grad, -Hessian, hyperparameters) of every
-    # point evaluated, by ascent coordinates, in the order first evaluated:
-    # an ascent starts from a start scored by value alone, and a point is
-    # evaluated again only for higher derivatives
-    scored = {}
+    # (-LML, hyperparameters) of every point evaluated with a finite LML, in
+    # the order evaluated
+    evaluated = []
 
-    def evaluate(x, order):
-        """The entry of ``scored`` at ascent coordinates ``x``, with at least
-        ``order`` derivatives, computed on the first request;
-        (2, _PENALTY, 0, 0, None) where the LML cannot be evaluated."""
+    def evaluate(x, order=2):
+        """(-LML, -grad, -Hessian) at ascent coordinates ``x``, with
+        ``order`` derivatives (None for those not asked for);
+        (_PENALTY, None, None) where the LML cannot be evaluated."""
         if not np.all(np.isfinite(x)):
             raise NonFinite("non-finite log-hyperparameters in optimization")
-        key = x.tobytes()
-        if key not in scored or scored[key][0] < order:
-            # sigma_f = 1 puts rho in sigma_n's place
-            ray = Hyperparams(*np.exp(np.insert(x, i_f, 0.0)))
-            try:
-                val, grad, hess, hp = log_marginal_likelihood(
-                    train, ray, work, profile=True, order=order)
-            except FactorizationFailure:
-                val = np.nan
-            if not np.isfinite(val):
-                k = len(x)
-                scored[key] = (2, _PENALTY, np.zeros(k), np.zeros((k, k)), None)
-            else:
-                # the ascent's sigma_f row and column are dropped
-                scored[key] = (
-                    order, -val,
-                    None if grad is None else -np.delete(grad, i_f),
-                    None if hess is None else -np.delete(np.delete(hess, i_f, 0), i_f, 1),
-                    hp)
-        return scored[key]
-
-    def objective(x):
-        return evaluate(x, 2)[1:4]
+        # sigma_f = 1 puts rho in sigma_n's place
+        ray = Hyperparams(*np.exp(np.insert(x, i_f, 0.0)))
+        try:
+            val, grad, hess, hp = log_marginal_likelihood(
+                train, ray, work, profile=True, order=order)
+        except FactorizationFailure:
+            val = np.nan
+        if not np.isfinite(val):
+            return _PENALTY, None, None
+        evaluated.append((-val, hp))
+        # the ascent's sigma_f row and column are dropped
+        return (-val,
+                None if grad is None else -np.delete(grad, i_f),
+                None if hess is None else -np.delete(np.delete(hess, i_f, 0), i_f, 1))
 
     def to_ascent(hp0):
         """Ascent coordinates of a start, clipped into the bounds; a zero
@@ -570,24 +561,15 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
         x0[i_n] -= x0[i_f]
         return np.delete(x0, i_f)
 
-    def on_bound(x):
-        """True when ``x`` is on the box of the ascent or its point has
-        sigma_f or sigma_n held on a bound."""
-        hp = evaluate(x, 0)[-1]
-        return (np.any((x <= box.lb) | (x >= box.ub))
-                or any(getattr(hp, names[i]) in bounds[i] for i in (i_f, i_n)))
-
     def ascend(x0):
-        """Ascend from x0; True unless the ascent failed or ended with a
-        hyperparameter on a bound."""
-        res = minimize(objective, x0, method=_trust_region_newton, bounds=box,
-                       options={"maxiter": MAX_ITER})
-        return res.success and not on_bound(res.x)
+        """Ascend from x0; True unless the ascent failed."""
+        return minimize(evaluate, x0, method=_trust_region_newton, bounds=box,
+                        options={"maxiter": MAX_ITER}).success
 
     warm = start is not None and ascend(to_ascent(start))
     if not warm:
         # stable sort: ties keep default_inits' order, so the fit stays deterministic
-        starts = sorted(((evaluate(x0, 0)[1], x0)
+        starts = sorted(((evaluate(x0, 0)[0], x0)
                          for x0 in map(to_ascent, default_inits(train))),
                         key=lambda st: st[0])
         for f0, x0 in starts:
@@ -596,10 +578,10 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     # the closures hold the buffers through their cells; drop them before
     # conditioning allocates its own n x n arrays
     work = None
-    # min keeps the first of equal values, so ties go to the earliest point
-    _, best_f, _, _, best_hp = min(scored.values(), key=lambda entry: entry[1])
-    if best_f >= _PENALTY:
+    if not evaluated:
         raise AllStartsFailed("every optimization start failed")
+    # min keeps the first of equal values, so ties go to the earliest point
+    _, best_hp = min(evaluated, key=lambda entry: entry[0])
     return _condition(train, best_hp, "warm" if warm else "cold")
 
 

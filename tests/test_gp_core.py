@@ -394,6 +394,19 @@ def _tight_ascent(train, hp):
     return start, best, Hyperparams(*np.exp(x))
 
 
+def _counted_ascents(monkeypatch):
+    # one entry per ascent: the benchmark counts ascents by patching this
+    # module attribute
+    ascents = []
+
+    def counted(*args, **kwargs):
+        ascents.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(gp_core, "minimize", counted)
+    return ascents
+
+
 @pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
 @pytest.mark.parametrize("seed", range(4))
 def test_fit_stops_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatch):
@@ -402,13 +415,7 @@ def test_fit_stops_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatc
     curve = _synth_curve(make_spec, seed)
     assert len(curve) == 300
     train = TrainingSet(curve.v, curve.q)
-    ascents = []
-
-    def counted(*args, **kwargs):
-        ascents.append(1)
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(gp_core, "minimize", counted)
+    ascents = _counted_ascents(monkeypatch)
     hp = fit(train).hp
     # the stop counts as converged: no fallback ascent from another start
     assert len(ascents) == 1
@@ -435,13 +442,7 @@ def test_warm_refits_stop_within_1e5_nats_of_a_tight_ascent(make_spec, seed, mon
     # ascent, as for a cold fit.  These seeds hold refits that a stop on
     # quiet iterations ends up to 5e-4 nats short, on the ridge in alpha
     curves = _four_cycle_curves(make_spec, seed)
-    ascents = []
-
-    def counted(*args, **kwargs):
-        ascents.append(1)
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(gp_core, "minimize", counted)
+    ascents = _counted_ascents(monkeypatch)
     start = fit(TrainingSet(curves[0].v, curves[0].q)).hp
     for curve in curves[1:]:
         train = TrainingSet(curve.v, curve.q)
@@ -848,23 +849,81 @@ def test_start_whose_lml_fails_gives_the_cold_fit(monkeypatch):
     assert np.array_equal(model.weights, cold.weights)
 
 
-def test_start_that_stays_on_a_bound_falls_back_to_the_cold_starts(monkeypatch):
-    # this toy set's optimum has alpha on its upper bound, 1e3
+def test_start_that_ends_on_a_bound_is_the_answer(monkeypatch):
+    # this toy set's optimum has alpha on its upper bound, 1e3 (the RQ
+    # kernel's squared-exponential limit): an ascent that ends there is a
+    # constrained maximum, so neither fit ascends a second start
     train = _toy_train(50, seed=3)
+    ascents = _counted_ascents(monkeypatch)
     cold = fit(train)
     assert cold.hp.alpha == pytest.approx(1e3)
-    ascents = []
+    assert len(ascents) == 1
+    ascents.clear()
+    model = fit(train, start=replace(cold.hp, alpha=1e3))
+    assert model.fit_start == "warm"
+    assert len(ascents) == 1
+    assert model.lml == pytest.approx(cold.lml, abs=1e-6)
+
+
+def _noise_free_sine():
+    rng = np.random.default_rng(0)
+    xs = np.sort(rng.uniform(2.8, 4.1, 60))
+    return TrainingSet(xs, 0.03 * np.sin(3.0 * xs) + 0.01 * xs)
+
+
+@pytest.mark.parametrize("train", [
+    # sigma_n ends held on its lower bound, alpha on its upper one
+    pytest.param(_noise_free_sine(), id="noise-free-sine"),
+    pytest.param(TrainingSet(np.linspace(2.8, 4.1, 30), np.full(30, 0.0137)), id="constant"),
+    # alpha ends on its upper bound
+    *(pytest.param(_toy_train(50, seed), id=f"toy-{seed}") for seed in range(1, 10)),
+])
+def test_cold_fit_that_ends_on_a_bound_runs_one_ascent(train, monkeypatch):
+    # a cold fit ascends the best-scored start once, and no second start
+    # would have gained more than 1e-5 nats: each default start ascended
+    # alone reaches at most that much above it
+    ascents = _counted_ascents(monkeypatch)
+    model = fit(train)
+    assert len(ascents) == 1
+    best_single = max(fit(train, start=hp0).lml for hp0 in default_inits(train))
+    assert model.lml >= best_single - 1e-5
+
+
+def test_ascent_that_spends_its_budget_moves_to_the_next_start(monkeypatch):
+    # with a one-iteration budget every ascent fails: the warm one, then each
+    # default start in the order of its value-only score, best first; the
+    # model is the best point any of them evaluated
+    monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+    train = _toy_train(50, seed=0)
+    calls = []
+    lml = gp_core.log_marginal_likelihood
+
+    def recorded(train, hp, *rest, **kw):
+        out = lml(train, hp, *rest, **kw)
+        calls.append((hp, kw.get("order", 1), out))
+        return out
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    firsts = []
 
     def counted(*args, **kwargs):
-        ascents.append(1)
+        # the first point an ascent evaluates is its start
+        firsts.append(len(calls))
         return minimize(*args, **kwargs)
 
     monkeypatch.setattr(gp_core, "minimize", counted)
-    model = fit(train, start=replace(cold.hp, alpha=1e3))
+    start = Hyperparams(0.3, 2.0 * train.y_std, 0.05 * train.y_std, 3.0)
+    model = fit(train, start=start)
     assert model.fit_start == "cold"
-    assert len(ascents) >= 2    # the warm ascent, then the cold ones
-    assert model.lml >= cold.lml
-
+    n_starts = len(default_inits(train))
+    assert len(firsts) == 1 + n_starts
+    scores = [(hp, out[0]) for hp, order, out in calls if order == 0]
+    assert len(scores) == n_starts
+    by_score = [hp for hp, _ in sorted(scores, key=lambda st: -st[1])]
+    assert [calls[i][0] for i in firsts[1:]] == by_score
+    best = max((out for _, _, out in calls), key=lambda out: out[0])
+    assert model.hp == best[3]
+    assert model.lml == pytest.approx(best[0], abs=1e-5)
 
 
 @pytest.mark.filterwarnings("error")
