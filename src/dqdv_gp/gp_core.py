@@ -8,7 +8,9 @@ optimization ascends the profiled LML: sigma_f^2 takes its closed-form
 optimum y^T C^-1 y / n at each point (the concentrated likelihood; Santner,
 Williams & Notz 2003, sec. 3.3), so the ascent searches one dimension fewer.
 It is a trust-region Newton method on the profiled LML's exact Hessian
-(Rasmussen & Williams 2006, sec. 5.4.1; Moré & Sorensen 1983).
+(Rasmussen & Williams 2006, sec. 5.4.1; Moré & Sorensen 1983), over the shape
+parameters and rho = sigma_n / sigma_f; the ``PARAMS`` noise row bounds rho.
+The LML and the conditioned model both factor C = Kn / sigma_f^2.
 
 Inputs are centered and outputs standardized internally (jitter and
 optimizer bounds then live on a unit scale); hyperparameters and all
@@ -85,7 +87,8 @@ class TrainingSet:
 
     @cached_property
     def y_std(self):
-        return max(float(np.std(self.ys)), _STD_FLOOR)
+        # relative, so the fit does not depend on Q's unit; constant data reach it
+        return max(float(np.std(self.ys)), _STD_FLOOR * float(np.abs(self.ys).max())) or 1.0
 
     @cached_property
     def ys_standardized(self):
@@ -99,10 +102,11 @@ class TrainingSet:
 class FittedGP:
     """Trained GP state: hyperparameters, Cholesky factor, and weights.
 
-    The factorization lives in standardized units: chol is the lower factor
-    of K(X,X) + (sigma_n^2 + jitter) I built from ``hp_internal`` over
-    centered inputs, and weights = Kn^-1 y solves it against the
-    standardized targets.  ``fit_start`` is "warm" when ``fit`` kept the
+    The factorization lives in standardized units: with Kn = K(X,X) +
+    (sigma_n^2 + jitter) I built from ``hp_internal`` over centered inputs,
+    chol is sigma_f chol(Kn / sigma_f^2), a lower factor of Kn, weights =
+    Kn^-1 y solves it against the standardized targets, and lml is the LML
+    as the fit computed it.  ``fit_start`` is "warm" when ``fit`` kept the
     ascent from the start it was given, and "cold" when it ran the default
     starts.  Immutable and safe to share across threads.
     """
@@ -168,16 +172,26 @@ def _workspace(n):
     return np.empty((2 * len(PARAMS) - 3, n, n))
 
 
-def _factor(train, hp_i, gram):
-    """Add the noise diagonal to ``gram``, factor it and solve for the weights.
+def _on_ray(train, hp):
+    """C = Kn / sigma_f^2 as hyperparameters in standardized units (sigma_f
+    = 1, noise rho = sigma_n / sigma_f), and sigma_f in units of std(Q);
+    jitter_for is a fraction of sigma_f^2, so C carries Kn's jitter."""
+    hp_i = _internal_hp(train, hp)
+    sf = hp_i.signal_std
+    return replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / sf), sf
 
-    ``gram`` is the noise-free Gram matrix in standardized units; it is
-    overwritten by the factor.  Returns (chol, weights, lml) with chol the
-    lower Cholesky factor (zero above the diagonal), weights = Kn^-1 ys_s
-    and the LML in natural units.  Raises FactorizationFailure when the
-    noisy Gram matrix is not positive definite or not finite.
+
+def _factor(train, hp_c, gram):
+    """Add C's noise diagonal to ``gram``, factor it and solve for the weights.
+
+    ``gram`` is the noise-free Gram matrix of C (``_on_ray``) in standardized
+    units; it is overwritten by the factor.  Returns (chol, weights, quad,
+    lml) with chol C's lower Cholesky factor (zero above the diagonal),
+    weights = C^-1 ys_s, quad = ys_s^T weights and the LML of C in natural
+    units.  Raises FactorizationFailure when C is not positive definite or
+    not finite.
     """
-    gram[np.diag_indices_from(gram)] += hp_i.noise_std**2 + jitter_for(hp_i)
+    gram[np.diag_indices_from(gram)] += hp_c.noise_std**2 + jitter_for(hp_c)
     # gram is symmetric, so its transpose is the Fortran-ordered view that
     # LAPACK factors in place
     chol, info = lapack.dpotrf(gram.T, lower=True, overwrite_a=True)
@@ -189,13 +203,19 @@ def _factor(train, hp_i, gram):
         raise FactorizationFailure("noisy Gram matrix is not finite")
     ys_s = train.ys_standardized
     weights, _ = lapack.dpotrs(chol, ys_s, lower=True)
-    n = len(train)
+    n, quad = len(train), blas.ddot(ys_s, weights)
     lml_scaled = (
-        -0.5 * blas.ddot(ys_s, weights)
+        -0.5 * quad
         - half_log_det
         - 0.5 * n * np.log(2.0 * np.pi)
     )
-    return chol, weights, lml_scaled - n * np.log(train.y_std)
+    return chol, weights, quad, lml_scaled - n * np.log(train.y_std)
+
+
+def _lml_at(train, lml, quad, sf):
+    """The LML of Kn = sf^2 C from C's ``lml`` and ``quad``, as ``_factor``
+    returns them: y^T Kn^-1 y = quad / sf^2, log det Kn = log det C + 2 n log sf."""
+    return lml + (0.5 * quad * (1.0 - 1.0 / sf**2) - len(train) * np.log(sf))
 
 
 def _half_trace(kinv, a, m):
@@ -211,20 +231,13 @@ def _half_trace(kinv, a, m):
     return 0.5 * (blas.ddot(a, m_a) - tr), m_a
 
 
-def _peak_on_ray(var, rho):
-    """(sigma_f, sigma_n, the name of the row whose bound holds the peak or
-    None), in units of std(Q), where the LML peaks on the ray sigma_n = rho
-    sigma_f inside both ``PARAMS`` bounds, from the unconstrained peak
-    sigma_f^2 = ``var``.  The LML is concave in log sigma_f along the ray,
-    so this projects ``var`` into the bounds; a held parameter equals its
-    bound exactly.
-    """
-    bounds = {p.name: p.bounds for p in PARAMS}
-    sf = min(max(np.sqrt(var), bounds["signal_std"][0]), bounds["signal_std"][1])
-    sn = min(max(rho * sf, bounds["noise_std"][0]), bounds["noise_std"][1])
-    if sn != rho * sf:
-        return sn / rho, sn, "noise_std"
-    return sf, sn, None if sf == np.sqrt(var) else "signal_std"
+def _peak_on_ray(var):
+    """(sigma_f in units of std(Q), whether its bound holds it) at the LML's
+    peak on a ray of fixed rho, from the unconstrained peak sigma_f^2 =
+    ``var``: the LML is concave in log sigma_f along the ray, so the peak
+    is sqrt(var) clipped into sigma_f's ``PARAMS`` bounds."""
+    sf = np.clip(np.sqrt(var), *PARAMS[_indices()[0]].bounds)
+    return sf, sf != np.sqrt(var)
 
 
 def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
@@ -242,8 +255,8 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
 
     With ``profile``, ``hp`` gives only the ray sigma_n / sigma_f = rho,
     and the LML is taken at the sigma_f that maximizes it on that ray
-    inside the ``PARAMS`` bounds (``_peak_on_ray``).  Returns (value, grad,
-    hess, hp) with hp that point and value the LML there; grad is the
+    inside sigma_f's ``PARAMS`` bounds (``_peak_on_ray``).  Returns (value,
+    grad, hess, hp) with hp that point and value the LML there; grad is the
     gradient of this profiled LML, which depends on sigma_f and sigma_n
     only through rho, so its sigma_f entry is minus its sigma_n entry, d/d
     log rho; hp's noise_std must then be above zero.  hess is its Hessian
@@ -258,22 +271,18 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
     if work is None:
         work = _workspace(len(train))
     m = len(PARAMS)
-    hp_i = _internal_hp(train, hp)
-    sf, held = hp_i.signal_std, None
-    # C is the noisy Gram matrix at sigma_f = 1 with noise rho; jitter_for is a
-    # fraction of sigma_f^2, so C carries the jitter _condition adds at any sigma_f
-    hp_i = replace(hp_i, signal_std=1.0, noise_std=hp_i.noise_std / sf)
+    hp_i, sf = _on_ray(train, hp)
     xs_c = train.xs - train.x_mean
     _, *d_shape = log_param_grads(xs_c, hp_i, out=work[:m - 1])
-    chol, a, lml = _factor(train, hp_i, work[0])
+    chol, a, quad, lml = _factor(train, hp_i, work[0])
 
-    n, rho, quad = len(train), hp_i.noise_std, blas.ddot(train.ys_standardized, a)
+    n, rho, held = len(train), hp_i.noise_std, False
     if profile:
-        sf, sn, held = _peak_on_ray(quad / n, rho)
-        hp = replace(hp, signal_std=sf * train.y_std, noise_std=sn * train.y_std)
+        sf, held = _peak_on_ray(quad / n)
+        hp = replace(hp, signal_std=sf * train.y_std, noise_std=rho * sf * train.y_std)
     # Kn = sf^2 C, so Kn^-1 y = a / sf^2 and each dKn is sf^2 dC: every
     # trace below is the one at sf with a / sf
-    lml += 0.5 * quad * (1.0 - 1.0 / sf**2) - n * np.log(sf)
+    lml = _lml_at(train, lml, quad, sf)
     a = a / sf
     if order == 0:
         return lml, None, None, hp
@@ -291,23 +300,19 @@ def log_marginal_likelihood(train: TrainingSet, hp: Hyperparams, work=None, *,
     # every kernel is sigma_f^2 times a shape and the jitter a fraction of
     # sigma_f^2, so dKn / d log sigma_f = 2 (Kn - sigma_n^2 I): the sigma_f
     # and sigma_n entries sum to y^T Kn^-1 y - n, the slope along the ray
-    slope = quad / sf**2 - n
-    if held == "noise_std":
-        # sigma_n held on its bound: sigma_f = sigma_n / rho falls as rho rises
-        g_noise -= slope
     shape = [_half_trace(kinv, a, d) for d in d_shape]
     i_f, i_n, i_s = _indices()
     grad = np.empty(m)
-    grad[i_f] = -g_noise if profile else slope - g_noise
+    grad[i_f] = -g_noise if profile else quad / sf**2 - n - g_noise
     grad[i_n], grad[i_s] = g_noise, [g for g, _ in shape]
     if order == 1:
         return (lml, grad, None, hp) if profile else (lml, grad)
     return lml, grad, _profiled_hessian(
         xs_c, hp_i, a, kinv, d_shape, [v for _, v in shape],
-        work[m - 1:], held, quad / sf**2, diag), hp
+        work[m - 1:], held, diag), hp
 
 
-def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag):
+def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, diag):
     """The profiled LML's Hessian in ``PARAMS`` order, for
     ``log_marginal_likelihood``.
 
@@ -316,13 +321,11 @@ def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag)
     + 0.5 tr(C^-1 C_i C^-1 C_j), with a = C^-1 y / sigma_f and C_ij the
     second derivative; log rho's C_i = 2 rho^2 I.  Letting sigma_f follow its
     peak adds p p^T / (2 n), with p_i = a^T C_i a (the Schur complement of
-    d2 / d log sigma_f^2 = -2 n); a sigma_f held on its bound adds nothing;
-    a sigma_n held on its bound moves log sigma_f by -1 per log rho, which
-    adds p_i to the log rho row and 2 p_rho - 2 ``quad`` on its diagonal,
-    ``quad`` = y^T C^-1 y / sigma_f^2.  ``d_a`` is each shape derivative
-    times a, ``diag`` = a^T a - tr(C^-1), and ``work`` holds one n x n array
-    per shape parameter, which receive C^-1 C_i.  ``held`` is the row whose
-    bound holds the peak, as ``_peak_on_ray`` names it.
+    d2 / d log sigma_f^2 = -2 n), and a sigma_f held on its bound
+    (``held``, as ``_peak_on_ray`` returns it) adds nothing.  ``d_a`` is
+    each shape derivative times a, ``diag`` = a^T a - tr(C^-1), and
+    ``work`` holds one n x n array per shape parameter, which receive
+    C^-1 C_i.
     """
     ns, n, rho2 = len(d_shape), len(a), hp_i.noise_std**2
     # kinv is Fortran-ordered with C^-1 in its lower triangle, as dsymm
@@ -349,12 +352,8 @@ def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag)
         h[s, t] += _half_trace(kinv, a, block)[0]
     h = np.triu(h) + np.triu(h, 1).T
     p = np.array([blas.ddot(a, v) for v in d_a] + [2.0 * rho2 * blas.ddot(a, a)])
-    if held is None:
+    if not held:
         h += np.outer(p, p) / (2.0 * n)
-    elif held == "noise_std":
-        h[ns] += p
-        h[:, ns] += p
-        h[ns, ns] -= 2.0 * quad
     i_f, i_n, i_s = _indices()
     full = np.zeros((len(PARAMS), len(PARAMS)))
     full[np.ix_(i_s + [i_n], i_s + [i_n])] = h
@@ -364,11 +363,13 @@ def _profiled_hessian(xs_c, hp_i, a, kinv, d_shape, d_a, work, held, quad, diag)
 
 
 def _condition(train: TrainingSet, hp: Hyperparams, fit_start: str) -> FittedGP:
-    hp_i = _internal_hp(train, hp)
+    hp_c, sf = _on_ray(train, hp)
     xs_c = train.xs - train.x_mean
-    chol, weights, lml = _factor(train, hp_i, kernel_matrix(xs_c, xs_c, hp_i, "VV"))
-    return FittedGP(hp=hp, train=train, chol=chol, weights=weights, lml=lml,
-                    fit_start=fit_start)
+    chol, weights, quad, lml = _factor(train, hp_c, kernel_matrix(xs_c, xs_c, hp_c, "VV"))
+    # Kn = sf^2 C: its factor is sf chol(C), and Kn^-1 y = C^-1 y / sf^2
+    chol *= sf
+    return FittedGP(hp=hp, train=train, chol=chol, weights=weights / sf**2,
+                    lml=_lml_at(train, lml, quad, sf), fit_start=fit_start)
 
 
 def _pseudo_residual_noise(train):
@@ -390,9 +391,8 @@ def default_inits(train: TrainingSet) -> list[Hyperparams]:
     """Multi-start initializations: each parameter's ``PARAMS`` starts times
     its unit's scale (the voltage span, or the sample std of ys), except
     that noise_std's starts are multiples of the pseudo-residual estimate
-    (``_pseudo_residual_noise``); its bounds stay multiples of std(ys).  An
-    estimate of 0 (noise-free or constant data) is clipped onto noise_std's
-    lower bound by the fit."""
+    (``_pseudo_residual_noise``).  An estimate of 0 (noise-free or constant
+    data) is clipped onto rho's lower bound by the fit."""
     scale = _scales(train)
     start_scale = {p.name: scale[p.unit] for p in PARAMS}
     start_scale["noise_std"] = _pseudo_residual_noise(train)
@@ -513,20 +513,17 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
     alone and ascends from the best one.  A later start is ascended, best
     first, only when an ascent fails.  Returns the conditioned model at the
     point with the highest LML evaluated, starts included.  ``PARAMS``
-    gives each log-hyperparameter's bounds; rho's are the ratios they
-    allow.
+    gives each log-hyperparameter's bounds, and its noise row rho's.
     """
     if len(train) < 4:
         raise ValueError("fit requires at least 4 training points")
     scale = _scales(train)
     bounds = np.array([np.multiply(p.bounds, scale[p.unit]) for p in PARAMS])
-    lo, hi = np.log(bounds).T
     i_f, i_n, _ = _indices()
     # the ascent's coordinates drop sigma_f and put log rho in sigma_n's
-    # place; rho spans every ratio that the sigma_n and sigma_f bounds allow
-    lo_r, hi_r = lo.copy(), hi.copy()
-    lo_r[i_n], hi_r[i_n] = lo[i_n] - hi[i_f], hi[i_n] - lo[i_f]
-    box = Bounds(np.delete(lo_r, i_f), np.delete(hi_r, i_f))
+    # place, bounded by the noise row as it stands: rho has no unit
+    bounds[i_n] = PARAMS[i_n].bounds
+    box = Bounds(*np.log(np.delete(bounds, i_f, 0)).T)
     work = _workspace(len(train))
     # (-LML, hyperparameters) of every point evaluated with a finite LML, in
     # the order evaluated
@@ -554,15 +551,16 @@ def fit(train: TrainingSet, start: Hyperparams | None = None) -> FittedGP:
                 None if hess is None else -np.delete(np.delete(hess, i_f, 0), i_f, 1))
 
     def to_ascent(hp0):
-        """Ascent coordinates of a start, clipped into the bounds; a zero
-        noise lands on its lower bound."""
+        """Ascent coordinates of a start, clipped into the box; a zero noise
+        lands on rho's lower bound."""
         with np.errstate(divide="ignore"):
-            x0 = np.clip(np.log([getattr(hp0, p.name) for p in PARAMS]), lo, hi)
+            x0 = np.log([getattr(hp0, p.name) for p in PARAMS])
         x0[i_n] -= x0[i_f]
-        return np.delete(x0, i_f)
+        return np.clip(np.delete(x0, i_f), box.lb, box.ub)
 
     def ascend(x0):
         """Ascend from x0; True unless the ascent failed."""
+        # through the module global: the benchmark counts ascents by patching it
         return minimize(evaluate, x0, method=_trust_region_newton, bounds=box,
                         options={"maxiter": MAX_ITER}).success
 

@@ -39,10 +39,11 @@ class Param(NamedTuple):
     "Ah" with std(Q), "" is dimensionless), and in that unit the fit's
     (lower, upper) bounds and default starts (a single start is shared).
 
-    noise_std's starts are the exception: they are multiples of the noise
-    that the data's pseudo-residuals estimate (Gasser, Sroka &
-    Jennen-Steinmetz 1986; ``gp_core.default_inits``), while its bounds
-    stay multiples of std(Q)."""
+    noise_std is the exception: its starts are multiples of the noise that
+    the data's pseudo-residuals estimate (Gasser, Sroka & Jennen-Steinmetz
+    1986; ``gp_core.default_inits``), and its bounds bound rho = sigma_n /
+    sigma_f, which has no unit: the fit ascends over rho, with sigma_f
+    profiled out."""
 
     name: str
     unit: str

@@ -171,12 +171,12 @@ def test_profiled_lml_matches_the_lml_at_its_peak_and_fd():
 
 @pytest.mark.parametrize("row, bounds, held", [
     ("signal_std", (1e-6, 0.5), 0.5),
-    ("noise_std", (1e-1, 1.0), 1e-1),
 ])
 def test_profiled_lml_holds_the_peak_inside_the_table_bounds(monkeypatch, row, bounds, held):
-    # narrowed bounds put the unconstrained peak outside them: the peak
-    # lands on the bound, and the value is still the LML there with the
-    # gradient of the constrained profile
+    # a narrowed sigma_f bound puts the unconstrained peak outside it: the
+    # peak lands on the bound, and the value is still the LML there with
+    # the gradient of the constrained profile; the noise row bounds rho,
+    # which the profile does not move
     params = tuple(p._replace(bounds=bounds) if p.name == row else p for p in kernel.PARAMS)
     monkeypatch.setattr(gp_core, "PARAMS", params)
     train = _toy_train(30, seed=2)
@@ -514,18 +514,24 @@ def _noise_start(train):
     return start
 
 
+def _line():
+    rng = np.random.default_rng(0)
+    xs = np.sort(rng.uniform(2.8, 4.1, 60))
+    return TrainingSet(xs, 0.035 * (xs - 2.8) + 0.002)
+
+
+def _rho_bounds():
+    (row,) = [p for p in kernel.PARAMS if p.name == "noise_std"]
+    return row.bounds
+
+
 def test_noise_start_vanishes_on_a_line_and_the_fit_holds_it_on_its_bound(monkeypatch):
     # the pseudo-residual weights interpolate linearly, so unevenly spaced
     # points on a line estimate no noise; the fit clips the zero start onto
-    # sigma_n's lower bound, scores it there, and ends at that bound (up to
-    # 10%: far below the jitter's sqrt(1e-10) sigma_f the LML barely moves
-    # with sigma_n)
-    rng = np.random.default_rng(0)
-    xs = np.sort(rng.uniform(2.8, 4.1, 60))
-    train = TrainingSet(xs, 0.035 * (xs - 2.8) + 0.002)
+    # rho = sigma_n / sigma_f's lower bound, scores it there, and ends there
+    train = _line()
     assert _noise_start(train) <= 1e-14 * train.y_std
-    (row,) = [p for p in kernel.PARAMS if p.name == "noise_std"]
-    lower = row.bounds[0] * train.y_std
+    lower = _rho_bounds()[0]
     scored = []
     lml = gp_core.log_marginal_likelihood
 
@@ -536,8 +542,9 @@ def test_noise_start_vanishes_on_a_line_and_the_fit_holds_it_on_its_bound(monkey
 
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
     model = fit(train)
-    assert scored[0].noise_std == pytest.approx(lower, rel=1e-12)
-    assert model.fit_start == "cold" and lower <= model.hp.noise_std <= 1.1 * lower
+    assert scored[0].noise_std / scored[0].signal_std == pytest.approx(lower, rel=1e-12)
+    assert model.fit_start == "cold"
+    assert model.hp.noise_std / model.hp.signal_std == pytest.approx(lower, rel=1e-12)
 
 
 def test_noise_start_scales_with_the_unit_of_q():
@@ -574,11 +581,15 @@ def test_fit_does_not_depend_on_the_unit_of_q(make_spec):
     # must land on the same hyperparameters, up to rounding
     curve = _synth_curve(make_spec, 0)
     model, _, report = analyze_curve(curve)
-    model_k, _, report_k = analyze_curve(replace(curve, q=1000.0 * curve.q))
-    assert report_k.verdict == report.verdict
-    assert [p.v_peak for p in report_k.peaks] == pytest.approx(
-        [p.v_peak for p in report.peaks], abs=1e-6)
-    assert model_k.lml == pytest.approx(model.lml - len(curve) * np.log(1000.0), abs=2e-5)
+    # Q x 1e-20 puts std(Q) far below 1e-12 Ah, where an absolute floor on
+    # it would take over
+    for factor in (1000.0, 1e-20):
+        model_k, _, report_k = analyze_curve(replace(curve, q=factor * curve.q))
+        assert report_k.verdict == report.verdict, factor
+        assert [p.v_peak for p in report_k.peaks] == pytest.approx(
+            [p.v_peak for p in report.peaks], abs=1e-6), factor
+        assert model_k.lml == pytest.approx(
+            model.lml - len(curve) * np.log(factor), abs=2e-5), factor
 
 
 def _scale_cases(train):
@@ -702,9 +713,7 @@ def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
     model = fit(train)
     best = max((p for p in points if np.isfinite(p[0])), key=lambda p: p[0])
     assert model.hp == best[3]
-    # the model factors sigma_f^2 C where the fit factored C: at a 300-point
-    # optimum each is a few 1e-6 nats from an 80-bit evaluation
-    assert model.lml == pytest.approx(best[0], abs=1e-5)
+    assert model.lml == best[0]
 
 
 def _quadratic(b, x_min):
@@ -871,10 +880,26 @@ def _noise_free_sine():
     return TrainingSet(xs, 0.03 * np.sin(3.0 * xs) + 0.01 * xs)
 
 
+def _constant():
+    return TrainingSet(np.linspace(2.8, 4.1, 30), np.full(30, 0.0137))
+
+
 @pytest.mark.parametrize("train", [
-    # sigma_n ends held on its lower bound, alpha on its upper one
     pytest.param(_noise_free_sine(), id="noise-free-sine"),
-    pytest.param(TrainingSet(np.linspace(2.8, 4.1, 30), np.full(30, 0.0137)), id="constant"),
+    pytest.param(_line(), id="line"),
+    pytest.param(_constant(), id="constant"),
+])
+def test_noise_free_sets_end_on_the_lower_rho_bound(train):
+    # nothing in these sets is noise, so the fit ends with rho =
+    # sigma_n / sigma_f held on the noise row's lower bound
+    hp = fit(train).hp
+    assert hp.noise_std / hp.signal_std == pytest.approx(_rho_bounds()[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("train", [
+    # rho ends held on its lower bound, alpha on its upper one
+    pytest.param(_noise_free_sine(), id="noise-free-sine"),
+    pytest.param(_constant(), id="constant"),
     # alpha ends on its upper bound
     *(pytest.param(_toy_train(50, seed), id=f"toy-{seed}") for seed in range(1, 10)),
 ])
@@ -923,14 +948,14 @@ def test_ascent_that_spends_its_budget_moves_to_the_next_start(monkeypatch):
     assert [calls[i][0] for i in firsts[1:]] == by_score
     best = max((out for _, _, out in calls), key=lambda out: out[0])
     assert model.hp == best[3]
-    assert model.lml == pytest.approx(best[0], abs=1e-5)
+    assert model.lml == best[0]
 
 
 @pytest.mark.filterwarnings("error")
 def test_zero_noise_and_out_of_range_starts_clip_to_the_table_bounds(monkeypatch):
-    # a zero noise has no logarithm: its start lands on the lower bound,
-    # 1e-8 std(Q), and an alpha past 1e3 on the upper one, with no warning;
-    # the profiled fit then reads the start's ratio sigma_n / sigma_f
+    # a zero noise has no logarithm: its ratio sigma_n / sigma_f lands on
+    # the noise row's lower bound, 1e-8, and an alpha past 1e3 on the upper
+    # one, with no warning
     train = _toy_train(50, seed=0)
     s = train.y_std
     calls = []
@@ -943,7 +968,7 @@ def test_zero_noise_and_out_of_range_starts_clip_to_the_table_bounds(monkeypatch
     monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
     fit(train, start=Hyperparams(0.1, s, 0.0, 1e6))
     first = calls[0]
-    assert first.noise_std / first.signal_std == pytest.approx(1e-8 * s / s, rel=1e-12)
+    assert first.noise_std / first.signal_std == pytest.approx(1e-8, rel=1e-12)
     assert first.alpha == np.exp(np.log(1e3))
     assert first.length_scale == np.exp(np.log(0.1))
 
@@ -1008,4 +1033,8 @@ def test_a_fifth_parameter_fits_through_the_table(monkeypatch):
     scale = gp_core._scales(train)
     for p in params:
         lo, hi = np.multiply(p.bounds, scale[p.unit])
-        assert lo * (1 - 1e-12) <= getattr(model.hp, p.name) <= hi * (1 + 1e-12), p.name
+        value = getattr(model.hp, p.name)
+        if p.name == "noise_std":
+            # the noise row bounds rho = sigma_n / sigma_f, which has no unit
+            (lo, hi), value = p.bounds, value / model.hp.signal_std
+        assert lo * (1 - 1e-12) <= value <= hi * (1 + 1e-12), p.name
