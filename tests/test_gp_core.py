@@ -7,7 +7,7 @@ and a direct solve, with no shared code path.
 import itertools
 import tracemalloc
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import pytest
@@ -395,14 +395,23 @@ def _tight_ascent(train, hp):
 
 
 def _counted_ascents(monkeypatch):
-    # one entry per ascent: the benchmark counts ascents by patching this
-    # module attribute
-    ascents = []
+    # one entry per ascent, the number of points of the set it ascends: the
+    # benchmark counts ascents by patching this module attribute, and the
+    # first point an ascent evaluates is its start
+    ascents, sizes = [], []
+    lml = gp_core.log_marginal_likelihood
+
+    def recorded(train, hp, *rest, **kw):
+        sizes.append(len(train))
+        return lml(train, hp, *rest, **kw)
 
     def counted(*args, **kwargs):
-        ascents.append(1)
-        return minimize(*args, **kwargs)
+        first = len(sizes)
+        result = minimize(*args, **kwargs)
+        ascents.append(sizes[first])
+        return result
 
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
     monkeypatch.setattr(gp_core, "minimize", counted)
     return ascents
 
@@ -417,8 +426,9 @@ def test_fit_stops_within_1e5_nats_of_a_tight_ascent(make_spec, seed, monkeypatc
     train = TrainingSet(curve.v, curve.q)
     ascents = _counted_ascents(monkeypatch)
     hp = fit(train).hp
-    # the stop counts as converged: no fallback ascent from another start
-    assert len(ascents) == 1
+    # the stop counts as converged: one ascent on the half set's points and
+    # one on all points, with no fallback ascent from another start
+    assert ascents == [150, 300]
     start, best, _ = _tight_ascent(train, hp)
     assert start - best <= 1e-5
 
@@ -642,48 +652,178 @@ def test_lml_with_warm_buffers_allocates_no_n_by_n_array():
         assert peak < n * n * 8, hp
 
 
-def test_fit_scores_no_point_twice(monkeypatch):
-    # no point is evaluated twice at the same derivative order: the cold
-    # starts are scored by value alone, and the ascent evaluates the best of
-    # them once more, with its Hessian, and every later point once
-    curve = _synth_curve(synth.plating_spec, 0)
-    train = TrainingSet(curve.v, curve.q)
+def _recorded_lml(monkeypatch):
+    """Every LML evaluation's (number of points, ray, order, output), in the
+    order evaluated."""
     calls = []
     lml = gp_core.log_marginal_likelihood
 
-    def counted(train, hp, *rest, **kw):
-        calls.append((hp, kw.get("order", 1)))
-        return lml(train, hp, *rest, **kw)
+    def recorded(train, hp, *rest, **kw):
+        out = lml(train, hp, *rest, **kw)
+        calls.append((len(train), hp, kw.get("order", 1), out))
+        return out
 
-    monkeypatch.setattr(gp_core, "log_marginal_likelihood", counted)
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    return calls
+
+
+def test_fit_scores_no_point_twice(monkeypatch):
+    # no point of a training set is evaluated twice at the same derivative
+    # order.  On the half set, the cold starts are scored by value alone,
+    # and the ascent evaluates the best of them once more, with its Hessian,
+    # and every later point once.  The one ascent on all points starts at
+    # the half set's optimum and evaluates every point with its Hessian
+    curve = _synth_curve(synth.plating_spec, 0)
+    train = TrainingSet(curve.v, curve.q)
+    calls = _recorded_lml(monkeypatch)
     fit(train)
+    half = [(hp, order) for n, hp, order, _ in calls if n == 150]
+    full = [(hp, order) for n, hp, order, _ in calls if n == 300]
+    assert len(half) + len(full) == len(calls)
     n_starts = len(default_inits(train))
-    assert len(calls) > n_starts
-    assert len(set(calls)) == len(calls)
-    assert [order for _, order in calls[:n_starts]] == [0] * n_starts
-    assert all(order == 2 for _, order in calls[n_starts:])
-    assert calls[n_starts][0] in [hp for hp, _ in calls[:n_starts]]
+    assert len(half) > n_starts and full
+    for points in (half, full):
+        assert len(set(points)) == len(points)
+    assert [order for _, order in half[:n_starts]] == [0] * n_starts
+    assert all(order == 2 for _, order in half[n_starts:] + full)
+    assert half[n_starts][0] in [hp for hp, _ in half[:n_starts]]
+    # the half set's best point, as a ray, starts the ascent on all points
+    (_, ray, _, _) = max((c for c in calls if c[0] == 150), key=lambda c: c[3][0])
+    assert np.allclose(astuple(full[0][0]), astuple(ray), rtol=1e-12, atol=0.0)
 
 
-def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
-    refs = []
-    alive = []
+def _tracked_workspaces(monkeypatch):
+    """Every workspace allocated, as (number of points, weak reference,
+    whether any workspace allocated before it was still alive), and the
+    workspaces alive at each ``_condition``."""
+    refs, conditions = [], []
     workspace, condition = gp_core._workspace, gp_core._condition
 
     def tracked(n):
+        before = any(ref() is not None for _, ref, _ in refs)
         work = workspace(n)
-        refs.append(weakref.ref(work))
+        refs.append((n, weakref.ref(work), before))
         return work
 
     def checked(*args):
-        alive.append(any(ref() is not None for ref in refs))
+        conditions.append([n for n, ref, _ in refs if ref() is not None])
         return condition(*args)
 
     monkeypatch.setattr(gp_core, "_workspace", tracked)
     monkeypatch.setattr(gp_core, "_condition", checked)
+    return refs, conditions
+
+
+def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
+    refs, conditions = _tracked_workspaces(monkeypatch)
     fit(_toy_train(40, seed=3))
-    assert len(refs) == 1
-    assert alive == [False]
+    assert [n for n, _, _ in refs] == [40]
+    assert conditions == [[]]
+
+
+def test_coarse_stage_frees_its_workspace_and_conditions_once(monkeypatch):
+    # the half set's (n/2)^2 workspace is gone before the full set's
+    # exists, and only the full set is conditioned, once per fit
+    curve = _synth_curve(synth.plating_spec, 0)
+    refs, conditions = _tracked_workspaces(monkeypatch)
+    model = fit(TrainingSet(curve.v, curve.q))
+    assert [(n, before) for n, _, before in refs] == [(150, False), (300, False)]
+    assert conditions == [[]]
+    assert model.fit_start == "cold" and len(model.train) == 300
+    # a warm ascent that spends its budget frees the full set's workspace
+    # before the coarse stage runs
+    refs.clear()
+    conditions.clear()
+    monkeypatch.setattr(gp_core, "MAX_ITER", 1)
+    fit(TrainingSet(curve.v, curve.q), start=replace(model.hp, alpha=10.0 * model.hp.alpha))
+    assert [(n, before) for n, _, before in refs] == [
+        (300, False), (150, False), (300, False)]
+    assert conditions == [[]]
+
+
+def _direct(monkeypatch):
+    """Fit every set as one with too few points for the coarse stage."""
+    monkeypatch.setattr(gp_core, "MIN_HALF", 10**9)
+
+
+@pytest.mark.parametrize("make_spec", [synth.plating_spec, synth.baseline_spec])
+@pytest.mark.parametrize("n_samples, seed", [(300, 0), (300, 5), (500, 0), (500, 3)])
+def test_coarse_to_fine_fit_meets_the_gate_against_the_direct_fit(
+        make_spec, n_samples, seed, monkeypatch):
+    # the optimum on every second point (twice halved at 500 points) starts
+    # one ascent on all points, which must end within the gate of a cold fit
+    # that ascends on all points from the scored starts
+    spec = replace(make_spec(), seed=seed, n_samples=n_samples)
+    curve = log_to_curves(synth.generate_cycle(spec, 1), vmin=spec.v_range[0],
+                          vmax=spec.v_range[1], capacity_ah=spec.capacity)[0]
+    assert len(curve) == n_samples
+    ascents = _counted_ascents(monkeypatch)
+    coarse = analyze_curve(curve)
+    assert ascents == {300: [150, 300], 500: [125, 250, 500]}[n_samples]
+    assert coarse[0].fit_start == "cold"
+    _direct(monkeypatch)
+    ascents.clear()
+    direct = analyze_curve(curve)
+    assert ascents == [n_samples]
+    assert _gate_failures(direct, coarse) == []
+    assert coarse[0].lml == pytest.approx(direct[0].lml, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [100, 2 * gp_core.MIN_HALF - 2])
+def test_set_below_the_threshold_fits_as_the_direct_fit(n, monkeypatch):
+    # a set whose every second point makes fewer than MIN_HALF points is
+    # evaluated at the same points, in the same order, as with no coarse
+    # stage at all, and ends at equal hyperparameters
+    train = _toy_train(n, seed=4)
+    assert len(train.xs[::2]) < gp_core.MIN_HALF
+    calls = _recorded_lml(monkeypatch)
+    model = fit(train)
+    sequence = [(n_pts, ray, order) for n_pts, ray, order, _ in calls]
+    assert {n_pts for n_pts, _, _ in sequence} == {n}
+    calls.clear()
+    _direct(monkeypatch)
+    direct = fit(train)
+    assert [(n_pts, ray, order) for n_pts, ray, order, _ in calls] == sequence
+    assert model.hp == direct.hp
+    assert model.lml == direct.lml
+
+
+def test_set_at_the_threshold_fits_its_half_first(monkeypatch):
+    # 2 MIN_HALF - 1 points: every second point makes MIN_HALF
+    train = _toy_train(2 * gp_core.MIN_HALF - 1, seed=4)
+    ascents = _counted_ascents(monkeypatch)
+    assert fit(train).fit_start == "cold"
+    assert ascents == [gp_core.MIN_HALF, len(train)]
+
+
+def test_failed_ascent_from_the_coarse_optimum_falls_back_to_the_scored_starts(monkeypatch):
+    # the half set's optimum cannot be evaluated on all points, so its
+    # ascent fails at once, and the default starts are scored and ascended
+    # on all points, as a fit with no coarse stage does
+    curve = _synth_curve(synth.baseline_spec, 1)
+    train = TrainingSet(curve.v, curve.q)
+    _direct(monkeypatch)
+    direct = fit(train)
+    monkeypatch.undo()
+    calls = _recorded_lml(monkeypatch)
+    lml = gp_core.log_marginal_likelihood
+
+    def failing_first_full(train_, hp, *rest, **kw):
+        if len(train_) == len(train) and not any(c[0] == len(train) for c in calls):
+            calls.append((len(train_), hp, kw.get("order", 1), None))
+            raise FactorizationFailure("coarse optimum")
+        return lml(train_, hp, *rest, **kw)
+
+    monkeypatch.setattr(gp_core, "log_marginal_likelihood", failing_first_full)
+    model = fit(train)
+    full = [(order, out) for n, _, order, out in calls if n == len(train)]
+    n_starts = len(default_inits(train))
+    assert full[0] == (2, None)
+    assert [order for order, _ in full[1:1 + n_starts]] == [0] * n_starts
+    assert all(order == 2 for order, _ in full[1 + n_starts:])
+    assert model.fit_start == "cold"
+    assert model.hp == direct.hp
+    assert model.lml == direct.lml
 
 
 @pytest.mark.parametrize("make_spec, seed", [
@@ -700,18 +840,12 @@ def test_fit_frees_its_buffers_before_conditioning(monkeypatch):
 def test_fit_returns_the_best_point_it_evaluated(make_spec, seed, monkeypatch):
     curve = _synth_curve(make_spec, seed)
     train = TrainingSet(curve.v, curve.q)
-    points = []
-    lml = gp_core.log_marginal_likelihood
-
-    def recorded(train, hp, *rest, **kw):
-        # profiled: (value, grad, hess, the hyperparameters the value is at)
-        result = lml(train, hp, *rest, **kw)
-        points.append(result)
-        return result
-
-    monkeypatch.setattr(gp_core, "log_marginal_likelihood", recorded)
+    calls = _recorded_lml(monkeypatch)
     model = fit(train)
-    best = max((p for p in points if np.isfinite(p[0])), key=lambda p: p[0])
+    # profiled outputs: (value, grad, hess, the hyperparameters the value is
+    # at); the half set's points only start the search on all points
+    best = max((out for n, _, _, out in calls if n == len(train) and np.isfinite(out[0])),
+               key=lambda out: out[0])
     assert model.hp == best[3]
     assert model.lml == best[0]
 
